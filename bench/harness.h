@@ -41,9 +41,8 @@ namespace bench {
 // the perf trajectory of the repo can be tracked run-over-run (CI's bench
 // job uploads them and tools/bench_compare.py gates regressions against
 // bench/baselines/). The output directory resolves as: the --out flag, then
-// $SITFACT_BENCH_OUT, then $SITFACT_BENCH_JSON_DIR (legacy), then the
-// working directory — so CI and local runs stop scattering JSON into
-// build/. ReplayStream records one entry per replay automatically; benches
+// $SITFACT_BENCH_OUT, then the working directory — so CI and local runs
+// stop scattering JSON into build/. ReplayStream records one entry per replay automatically; benches
 // with bespoke drivers add entries by hand, and ScopedBenchJson at the top
 // of main() guarantees at least a whole-process wall-time entry.
 
@@ -118,13 +117,8 @@ inline void InitBenchOutput(int* argc, char** argv) {
 inline void WriteBenchJson(const std::string& bench_name) {
   std::string dir = BenchOutDir();
   if (dir.empty()) {
-    for (const char* env : {"SITFACT_BENCH_OUT", "SITFACT_BENCH_JSON_DIR"}) {
-      const char* v = std::getenv(env);
-      if (v != nullptr && v[0] != '\0') {
-        dir = v;
-        break;
-      }
-    }
+    const char* v = std::getenv("SITFACT_BENCH_OUT");
+    if (v != nullptr) dir = v;
   }
   std::string path = !dir.empty()
                          ? dir + "/BENCH_" + bench_name + ".json"

@@ -103,7 +103,7 @@ DiscoveryEngine::DiscoveryEngine(Relation* relation,
                       "prominence ranking needs a µ-store algorithm");
   }
   // The skyband shadow rides along from the first arrival when the store
-  // notifies (in-memory stores); attaching before any restore keeps it
+  // notifies (memory and paged stores); attaching before any restore keeps it
   // coherent through DeserializeBuckets, which writes through the observed
   // Context API. File-backed stores never notify — a live engine over one
   // serves prominence from the store as before.
@@ -111,9 +111,7 @@ DiscoveryEngine::DiscoveryEngine(Relation* relation,
   if (config_.rank_facts && store != nullptr && store->NotifiesObservers() &&
       SkybandIndexEnabledFromEnv()) {
     skyband_ = std::make_unique<SkybandIndex>();
-    skyband_->Attach(store, discoverer_->storage_policy(),
-                     discoverer_->max_bound_dims(),
-                     static_cast<int>(discoverer_->subspaces().max_size()));
+    skyband_->Attach(store, discoverer_->storage_policy());
   }
 }
 

@@ -35,13 +35,9 @@ void CcscDiscoverer::Discover(TupleId t, std::vector<SkylineFact>* facts) {
                    &arrival_memo_, &repair_memo_);
     stored_total_ += st.cube.stored_count() - before;
     // Membership per subspace is read directly off the update's skyline
-    // set. The pre-index adaptation reproduced the paper's "overkill" — a
-    // full CSC skyline query per subspace, with membership read off the
-    // result — but both formulations answer the same question ("does any
-    // context member dominate t in M?") and are pinned tuple-for-tuple
-    // identical by the differential tests; what the rebuild removes is the
-    // per-subspace physical rescan, not any pruning C-CSC isn't entitled
-    // to. The traversal counter keeps its meaning: one (context, subspace)
+    // set rather than from a CSC skyline query per subspace (the paper's
+    // "overkill"): both answer "does any context member dominate t in M?".
+    // The traversal counter keeps its meaning: one (context, subspace)
     // visit per universe mask.
     stats_.constraints_traversed += universe_.masks().size();
     for (MeasureMask m : sky_masks_scratch_) {

@@ -18,9 +18,7 @@ ShardedEngine::ShardedEngine(Relation* relation, const Config& config)
   if (config_.rank_facts && SkybandIndexEnabledFromEnv()) {
     skyband_ = std::make_unique<SkybandIndex>();
     skyband_->Attach(discoverer_->mutable_store(),
-                     discoverer_->storage_policy(),
-                     discoverer_->max_bound_dims(),
-                     static_cast<int>(discoverer_->subspaces().max_size()));
+                     discoverer_->storage_policy());
   }
 }
 

@@ -136,11 +136,11 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
   // rebuilt service exercises (and is accelerated by) the identical
   // prominence path. SBottomUp's store is in-memory, hence notifying.
   SkybandIndex skyband;
+  const SkybandIndex* band_source = nullptr;
   if (SkybandIndexEnabledFromEnv() && disc->mutable_store() != nullptr &&
       disc->mutable_store()->NotifiesObservers()) {
-    skyband.Attach(disc->mutable_store(), disc->storage_policy(),
-                   disc->max_bound_dims(),
-                   static_cast<int>(disc->subspaces().max_size()));
+    skyband.Attach(disc->mutable_store(), disc->storage_policy());
+    band_source = &skyband;
   }
   ArrivalReport report;
   for (TupleId t = 0; t < relation->size(); ++t) {
@@ -152,7 +152,7 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
     CanonicalizeFacts(&report.facts);
     ProminenceEvaluator evaluator(relation, &counter, disc->mutable_store(),
                                   disc->storage_policy());
-    evaluator.set_skyband(&skyband);
+    evaluator.set_skyband(band_source);
     report.ranked = evaluator.RankAll(report.facts);
     report.prominent = SelectProminent(report.ranked, tau);
     service->OnArrival(report);

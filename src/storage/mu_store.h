@@ -181,13 +181,6 @@ class MuStore {
   /// store's dirty-page write-back). Trivially Ok for memory stores.
   virtual Status Flush() { return Status::Ok(); }
 
-  /// Advisory page-lifetime hints: a caller about to make many passes over
-  /// one context may bracket them with Pin/Unpin so an out-of-core store
-  /// keeps that context's pages resident instead of thrashing its LRU.
-  /// Balanced, non-nesting per constraint; no-ops for memory stores.
-  virtual void PinContext(const Constraint& c) { (void)c; }
-  virtual void UnpinContext(const Constraint& c) { (void)c; }
-
   /// Persistence hook (docs/persistence.md): writes the bucket dump — a u64
   /// bucket count, then per bucket the constraint, subspace mask and tuple
   /// list. Costs two ForEachBucket passes (the file store pays two reads per

@@ -71,27 +71,6 @@ size_t PagedMuStore::ApproxMemoryBytes() const {
   return bytes;
 }
 
-void PagedMuStore::PinContext(const Constraint& c) {
-  if (pinned_.find(c) != pinned_.end()) return;
-  std::vector<PageCache::PageId>& pages = pinned_[c];
-  auto it = contexts_.find(c);
-  if (it == contexts_.end()) return;
-  for (const Entry& e : it->second.entries_) {
-    uint32_t n = PagesOf(e.size * sizeof(TupleId));
-    for (uint32_t k = 0; k < n; ++k) {
-      cache_.Pin(e.first_page + k);
-      pages.push_back(e.first_page + k);
-    }
-  }
-}
-
-void PagedMuStore::UnpinContext(const Constraint& c) {
-  auto it = pinned_.find(c);
-  if (it == pinned_.end()) return;
-  for (PageCache::PageId id : it->second) cache_.Unpin(id, /*dirty=*/false);
-  pinned_.erase(it);
-}
-
 void PagedMuStore::ReadRecord(const Entry& e, std::vector<TupleId>* out) {
   out->resize(e.size);
   uint8_t* dst = reinterpret_cast<uint8_t*>(out->data());

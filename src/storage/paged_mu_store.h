@@ -62,13 +62,6 @@ class PagedMuStore : public MuStore {
 
   Status Flush() override { return cache_.Flush(); }
 
-  /// Pins every page currently holding `c`'s records. A later relocation
-  /// (bucket growth, compaction) moves records to unpinned pages — the pin
-  /// then merely keeps stale pages resident until UnpinContext, which is
-  /// harmless; this is an advisory hint, not a pointer lease.
-  void PinContext(const Constraint& c) override;
-  void UnpinContext(const Constraint& c) override;
-
   /// First IO/corruption error from the index or the page cache, if any.
   Status status() const {
     return status_.ok() ? cache_.status() : status_;
@@ -152,11 +145,6 @@ class PagedMuStore : public MuStore {
   /// Σ record byte lengths; allocated-vs-live drives compaction.
   uint64_t live_bytes_ = 0;
   uint64_t compactions_ = 0;
-  /// Advisory PinContext leases: the page ids actually pinned, so Unpin
-  /// releases exactly what Pin took even after records relocate.
-  std::unordered_map<Constraint, std::vector<PageCache::PageId>,
-                     ConstraintHash>
-      pinned_;
   mutable MuStoreStats merged_;  // stats() view with cache IO folded in
 };
 

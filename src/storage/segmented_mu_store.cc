@@ -79,16 +79,6 @@ Status SegmentedMuStore::Flush() {
   return first;
 }
 
-void SegmentedMuStore::PinContext(const Constraint& c) {
-  SITFACT_DCHECK(c.bound_mask() < segment_of_mask_.size());
-  segments_[segment_of_mask_[c.bound_mask()]]->PinContext(c);
-}
-
-void SegmentedMuStore::UnpinContext(const Constraint& c) {
-  SITFACT_DCHECK(c.bound_mask() < segment_of_mask_.size());
-  segments_[segment_of_mask_[c.bound_mask()]]->UnpinContext(c);
-}
-
 const MuStoreStats& SegmentedMuStore::stats() const {
   aggregated_ = MuStoreStats{};
   for (const auto& segment : segments_) {

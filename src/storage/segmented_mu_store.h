@@ -53,9 +53,9 @@ class SegmentedMuStore : public MuStore {
     return segments_.front()->NotifiesObservers();
   }
 
-  /// Dirty tracking, Flush and pin hints all fan out to (or route into) the
-  /// segments; each segment keeps its own dirty set, so shard threads never
-  /// contend on shared tracking state.
+  /// Dirty tracking and Flush fan out to the segments; each segment keeps
+  /// its own dirty set, so shard threads never contend on shared tracking
+  /// state.
   bool SupportsDirtyTracking() const override {
     return segments_.front()->SupportsDirtyTracking();
   }
@@ -66,8 +66,6 @@ class SegmentedMuStore : public MuStore {
   void ClearDirty() override;
   uint64_t DirtyBucketCount() const override;
   Status Flush() override;
-  void PinContext(const Constraint& c) override;
-  void UnpinContext(const Constraint& c) override;
 
   size_t ApproxMemoryBytes() const override;
 

@@ -7,6 +7,7 @@
 // and d̂/m̂ truncation.
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,12 @@ struct DiffCase {
   Dataset data;
   DiscoveryOptions options;
 };
+
+// Prints the case as its stable label, so the gtest parameter dump (and
+// hence the ctest test name) never shows raw object bytes.
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << c.label;
+}
 
 Dataset NbaSlice(int n, int d, int m) {
   NbaGenerator::Config cfg;

@@ -5,6 +5,7 @@
 // invariants.
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,12 @@ struct DeletionCase {
   RandomDataConfig data;
   DiscoveryOptions options;
 };
+
+// Prints the case as its stable label, so the gtest parameter dump (and
+// hence the ctest test name) never shows raw object bytes.
+void PrintTo(const DeletionCase& c, std::ostream* os) {
+  *os << c.label;
+}
 
 class DeletionEquivalenceTest : public ::testing::TestWithParam<DeletionCase> {
 };

@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,12 @@ struct InvariantCase {
   RandomDataConfig data;
   DiscoveryOptions options;
 };
+
+// Prints the case as its stable label, so the gtest parameter dump (and
+// hence the ctest test name) never shows raw object bytes.
+void PrintTo(const InvariantCase& c, std::ostream* os) {
+  *os << c.label;
+}
 
 class InvariantTest : public ::testing::TestWithParam<InvariantCase> {
  protected:

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,12 @@ struct EngineSnapshotParam {
   const char* algorithm;
   bool file_store;
 };
+
+// Prints the case as its stable label, so the gtest parameter dump (and
+// hence the ctest test name) never shows raw object bytes.
+void PrintTo(const EngineSnapshotParam& c, std::ostream* os) {
+  *os << c.algorithm;
+}
 
 class EngineSnapshotTest
     : public ::testing::TestWithParam<EngineSnapshotParam> {};

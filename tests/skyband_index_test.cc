@@ -1,10 +1,9 @@
-// Differential tests for skyline/skyband_index.h. Every maintenance path is
-// diffed against a brute-force ForEachBucket rescan after each mutation
-// (memory, file, and segmented stores), engines run the same op stream with
-// the index on vs off and must produce identical reports, the sharded
-// engine hammers OnBucketChanged from pool threads (the SkybandIndex TSan
-// target), and the forward-query planner path is diffed against the three
-// index-free dominance kernels.
+// Differential tests for skyline/skyband_index.h. The index is diffed
+// against a brute-force ForEachBucket rescan after each mutation (memory,
+// segmented and restored stores), engines run the same op stream with the
+// index on vs off — or over a file store, which keeps no index — and must
+// produce identical reports, and the sharded engine hammers
+// OnBucketChanged from pool threads (the SkybandIndex TSan target).
 
 #include "skyline/skyband_index.h"
 
@@ -22,8 +21,6 @@
 #include "common/rng.h"
 #include "core/engine.h"
 #include "exec/sharded_engine.h"
-#include "query/skyline_query.h"
-#include "storage/file_mu_store.h"
 #include "storage/memory_mu_store.h"
 #include "storage/segmented_mu_store.h"
 #include "test_util.h"
@@ -68,10 +65,6 @@ void ExpectMatchesRescan(const SkybandIndex& index, MuStore& store) {
   for (const auto& [c, buckets] : dump) {
     for (const auto& [m, bucket] : buckets) {
       EXPECT_EQ(index.SkylineSize(c, m), bucket.size());
-      std::vector<TupleId> sorted = bucket;
-      std::sort(sorted.begin(), sorted.end());
-      EXPECT_EQ(index.Members(c, m), sorted);
-      for (TupleId t : bucket) EXPECT_TRUE(index.Contains(c, m, t));
     }
   }
 
@@ -79,6 +72,22 @@ void ExpectMatchesRescan(const SkybandIndex& index, MuStore& store) {
   EXPECT_EQ(stats.families, dump.size());
   EXPECT_EQ(stats.bands, dumped_buckets);
   EXPECT_EQ(stats.members, dumped_members);
+}
+
+void ExpectReportsEqual(const ArrivalReport& a, const ArrivalReport& b) {
+  ASSERT_EQ(a.tuple, b.tuple);
+  ASSERT_EQ(a.facts, b.facts);
+  ASSERT_EQ(a.ranked.size(), b.ranked.size());
+  for (size_t i = 0; i < a.ranked.size(); ++i) {
+    ASSERT_EQ(a.ranked[i].fact, b.ranked[i].fact) << "rank " << i;
+    ASSERT_EQ(a.ranked[i].context_size, b.ranked[i].context_size);
+    ASSERT_EQ(a.ranked[i].skyline_size, b.ranked[i].skyline_size);
+    ASSERT_EQ(a.ranked[i].prominence, b.ranked[i].prominence);
+  }
+  ASSERT_EQ(a.prominent.size(), b.prominent.size());
+  for (size_t i = 0; i < a.prominent.size(); ++i) {
+    ASSERT_EQ(a.prominent[i].fact, b.prominent[i].fact);
+  }
 }
 
 RandomDataConfig SmallConfig(int n, uint64_t seed) {
@@ -100,7 +109,6 @@ TEST(SkybandIndexMemory, ObserverTracksEveryDiscoveryMutation) {
   SkybandIndex index;
   index.Attach(disc->mutable_store(), disc->storage_policy());
   EXPECT_TRUE(index.attached());
-  EXPECT_TRUE(index.live());
 
   std::vector<SkylineFact> facts;
   for (const Row& row : data.rows()) {
@@ -126,32 +134,33 @@ TEST(SkybandIndexMemory, ObserverTracksEveryDiscoveryMutation) {
 }
 
 TEST(SkybandIndexFile, NonNotifyingStoreNeedsRebuild) {
-  Dataset data = PaperTableIV();
-  Relation r(data.schema());
-  for (const Row& row : data.rows()) r.Append(row);
+  // File-backed stores never notify, so a ranking engine over one keeps no
+  // skyband shadow and ranks from the store; its reports must equal the
+  // in-memory run's, where the shadow serves every |λ|.
+  Dataset data = RandomDataset(SmallConfig(40, 19));
   const std::string dir =
       (fs::temp_directory_path() / "sitfact_skyband_file_test").string();
   fs::remove_all(dir);
-  FileMuStore store(dir);
-  ASSERT_FALSE(store.NotifiesObservers());
+  Relation file_rel(data.schema());
+  Relation mem_rel(data.schema());
+  auto file_disc =
+      DiscoveryEngine::CreateDiscoverer("FSBottomUp", &file_rel, {}, dir);
+  auto mem_disc = DiscoveryEngine::CreateDiscoverer("SBottomUp", &mem_rel, {});
+  ASSERT_TRUE(file_disc.ok());
+  ASSERT_TRUE(mem_disc.ok());
+  DiscoveryEngine::Config config;
+  config.tau = 2.0;
+  DiscoveryEngine file_engine(&file_rel, std::move(file_disc).value(),
+                              config);
+  DiscoveryEngine mem_engine(&mem_rel, std::move(mem_disc).value(), config);
+  ASSERT_FALSE(file_engine.discoverer().store()->NotifiesObservers());
+  EXPECT_EQ(file_engine.skyband_index(), nullptr);
+  ASSERT_NE(mem_engine.skyband_index(), nullptr);
 
-  auto C = [&](DimMask mask) { return Constraint::ForTuple(r, 4, mask); };
-  store.GetOrCreate(C(0b001))->Write(0b01, {0, 1});
-  store.GetOrCreate(C(0b011))->Write(0b11, {2, 3});
-
-  SkybandIndex index;
-  index.Attach(&store, StoragePolicy::kAllSkylineConstraints);
-  EXPECT_TRUE(index.attached());
-  EXPECT_FALSE(index.live());  // file stores never notify
-  ExpectMatchesRescan(index, store);  // Attach primed from ForEachBucket
-
-  // Mutations are invisible until the next Rebuild.
-  store.GetOrCreate(C(0b001))->Write(0b01, {0, 1, 4});
-  store.GetOrCreate(C(0b011))->Write(0b11, {});
-  EXPECT_EQ(index.stats().notifications, 0u);
-  index.Rebuild();
-  ExpectMatchesRescan(index, store);
-  EXPECT_GE(index.stats().rebuilds, 2u);  // Attach's prime + explicit
+  for (const Row& row : data.rows()) {
+    ExpectReportsEqual(file_engine.Append(row), mem_engine.Append(row));
+    if (::testing::Test::HasFatalFailure()) break;
+  }
   fs::remove_all(dir);
 }
 
@@ -163,7 +172,7 @@ TEST(SkybandIndexSegmented, ObserverFollowsPerSegmentWrites) {
 
   SkybandIndex index;
   index.Attach(&store, StoragePolicy::kAllSkylineConstraints);
-  EXPECT_TRUE(index.live());
+  EXPECT_TRUE(index.attached());
 
   auto C = [&](DimMask mask, TupleId t = 4) {
     return Constraint::ForTuple(r, t, mask);
@@ -181,8 +190,8 @@ TEST(SkybandIndexSegmented, ObserverFollowsPerSegmentWrites) {
 
 TEST(SkybandIndexRestore, AttachPrimesFromDeserializedDump) {
   // Populate a memory store through discovery, snapshot it, restore the
-  // dump into a file store (which never notifies): Attach alone must leave
-  // the index coherent with the restored buckets.
+  // dump into a fresh memory store: Attach alone must leave the index
+  // coherent with the restored buckets.
   Dataset data = RandomDataset(SmallConfig(30, 11));
   Relation relation(data.schema());
   auto disc_or = DiscoveryEngine::CreateDiscoverer("SBottomUp", &relation, {});
@@ -203,7 +212,7 @@ TEST(SkybandIndexRestore, AttachPrimesFromDeserializedDump) {
     disc->mutable_store()->SerializeBuckets(&w);
   }
 
-  FileMuStore restored((base / "store").string());
+  MemoryMuStore restored;
   {
     BinaryReader reader(dump);
     ASSERT_TRUE(restored
@@ -215,27 +224,10 @@ TEST(SkybandIndexRestore, AttachPrimesFromDeserializedDump) {
 
   SkybandIndex index;
   index.Attach(&restored, disc->storage_policy());
-  EXPECT_FALSE(index.live());
   ExpectMatchesRescan(index, restored);
   // And the restored bands agree with the original store's bands.
   ExpectMatchesRescan(index, *disc->mutable_store());
   fs::remove_all(base);
-}
-
-void ExpectReportsEqual(const ArrivalReport& a, const ArrivalReport& b) {
-  ASSERT_EQ(a.tuple, b.tuple);
-  ASSERT_EQ(a.facts, b.facts);
-  ASSERT_EQ(a.ranked.size(), b.ranked.size());
-  for (size_t i = 0; i < a.ranked.size(); ++i) {
-    ASSERT_EQ(a.ranked[i].fact, b.ranked[i].fact) << "rank " << i;
-    ASSERT_EQ(a.ranked[i].context_size, b.ranked[i].context_size);
-    ASSERT_EQ(a.ranked[i].skyline_size, b.ranked[i].skyline_size);
-    ASSERT_EQ(a.ranked[i].prominence, b.ranked[i].prominence);
-  }
-  ASSERT_EQ(a.prominent.size(), b.prominent.size());
-  for (size_t i = 0; i < a.prominent.size(); ++i) {
-    ASSERT_EQ(a.prominent[i].fact, b.prominent[i].fact);
-  }
 }
 
 /// The engine differential: the same Append/Remove/Update stream through an
@@ -255,7 +247,6 @@ void RunEngineDifferential(const std::string& algo) {
   };
   auto on = make(&on_rel);
   ASSERT_NE(on->skyband_index(), nullptr);
-  EXPECT_TRUE(on->skyband_index()->live());
   ::setenv("SITFACT_SKYBAND_INDEX", "off", 1);
   auto off = make(&off_rel);
   ::unsetenv("SITFACT_SKYBAND_INDEX");
@@ -303,7 +294,6 @@ TEST(SkybandIndexSharded, ConcurrentNotificationsStayCoherent) {
   config.tau = 2.0;
   ShardedEngine engine(&relation, config);
   ASSERT_NE(engine.skyband_index(), nullptr);
-  EXPECT_TRUE(engine.skyband_index()->live());
 
   std::vector<ArrivalReport> reports = engine.AppendBatch(data.rows());
   EXPECT_EQ(reports.size(), data.rows().size());
@@ -315,73 +305,6 @@ TEST(SkybandIndexSharded, ConcurrentNotificationsStayCoherent) {
   ASSERT_TRUE(updated.ok());
   ExpectMatchesRescan(*engine.skyband_index(),
                       *engine.discoverer().mutable_store());
-}
-
-TEST(SkybandIndexForwardQuery, PlannerAnswersMatchDominanceKernels) {
-  // kAuto routes covered shapes through the index (Invariant 1); forcing
-  // any concrete algorithm bypasses it. Both must agree on every query,
-  // including constraints of removed tuples (possibly empty contexts).
-  Dataset data = RandomDataset(SmallConfig(90, 41));
-  Relation relation(data.schema());
-  auto disc_or = DiscoveryEngine::CreateDiscoverer("SBottomUp", &relation, {});
-  ASSERT_TRUE(disc_or.ok());
-  DiscoveryEngine::Config config;
-  config.tau = 2.0;
-  DiscoveryEngine engine(&relation, std::move(disc_or).value(), config);
-  for (const Row& row : data.rows()) engine.Append(row);
-  for (TupleId t : {TupleId{5}, TupleId{40}}) {
-    ASSERT_TRUE(engine.Remove(t).ok());
-  }
-  ASSERT_NE(engine.skyband_index(), nullptr);
-
-  SkylineQueryEngine query(&relation);
-  query.set_skyband(engine.skyband_index());
-  Rng rng(13);
-  int index_served = 0;
-  for (int i = 0; i < 60; ++i) {
-    const TupleId t = rng.NextBounded(relation.size());
-    const DimMask dmask =
-        static_cast<DimMask>(1 + rng.NextBounded(7));  // non-empty, d=3
-    const MeasureMask m =
-        static_cast<MeasureMask>(1 + rng.NextBounded(3));  // non-empty, w=2
-    const Constraint c = Constraint::ForTuple(relation, t, dmask);
-    SkylineQueryResult fast = query.Evaluate(c, m);
-    if (fast.from_index) ++index_served;
-    for (QueryAlgorithm algo :
-         {QueryAlgorithm::kBlockNestedLoops, QueryAlgorithm::kSortFilter,
-          QueryAlgorithm::kDivideConquer}) {
-      SkylineQueryResult slow = query.Evaluate(c, m, algo);
-      EXPECT_FALSE(slow.from_index);
-      ASSERT_EQ(fast.skyline, slow.skyline)
-          << "query " << i << " algo " << QueryAlgorithmName(algo);
-    }
-  }
-  // The planner path must actually have triggered (SBottomUp = Invariant 1,
-  // unlimited knobs: every query shape is covered).
-  EXPECT_EQ(index_served, 60);
-  EXPECT_GE(engine.skyband_index()->stats().query_probes, 60u);
-}
-
-TEST(SkybandIndexForwardQuery, InvariantTwoIndexNeverServesQueries) {
-  // STopDown keeps maximal-constraint buckets (Invariant 2): a bucket is
-  // not λ_M(σ_C(R)), so CoversQuery must refuse and the planner must fall
-  // back to scans — silently serving union state would be wrong.
-  Dataset data = RandomDataset(SmallConfig(40, 43));
-  Relation relation(data.schema());
-  auto disc_or = DiscoveryEngine::CreateDiscoverer("STopDown", &relation, {});
-  ASSERT_TRUE(disc_or.ok());
-  DiscoveryEngine engine(&relation, std::move(disc_or).value(), {});
-  for (const Row& row : data.rows()) engine.Append(row);
-  ASSERT_NE(engine.skyband_index(), nullptr);
-
-  SkylineQueryEngine query(&relation);
-  query.set_skyband(engine.skyband_index());
-  const Constraint c = Constraint::ForTuple(relation, 3, 0b011);
-  SkylineQueryResult result = query.Evaluate(c, 0b11);
-  EXPECT_FALSE(result.from_index);
-  SkylineQueryResult oracle =
-      query.Evaluate(c, 0b11, QueryAlgorithm::kBlockNestedLoops);
-  EXPECT_EQ(result.skyline, oracle.skyline);
 }
 
 TEST(SkybandIndexEnv, EscapeHatchParsesOffAndZero) {
