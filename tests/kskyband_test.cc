@@ -5,7 +5,6 @@
 #include "core/kskyband.h"
 
 #include <algorithm>
-#include <ostream>
 #include <set>
 #include <vector>
 
@@ -84,13 +83,6 @@ struct KParam {
   int mhat;
   uint64_t seed;
 };
-
-// Prints the case as its stable label, so the gtest parameter dump (and
-// hence the ctest test name) never shows raw object bytes.
-void PrintTo(const KParam& c, std::ostream* os) {
-  *os << "k" << c.k << "_dhat" << c.dhat << "_mhat" << c.mhat << "_seed"
-      << c.seed;
-}
 
 class KSkybandSweep : public ::testing::TestWithParam<KParam> {};
 

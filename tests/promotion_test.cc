@@ -3,7 +3,6 @@
 
 #include "core/promotion.h"
 
-#include <ostream>
 #include <set>
 #include <vector>
 
@@ -70,13 +69,6 @@ struct PromotionParam {
   int measure;
   uint64_t seed;
 };
-
-// Prints the case as its stable label, so the gtest parameter dump (and
-// hence the ctest test name) never shows raw object bytes.
-void PrintTo(const PromotionParam& c, std::ostream* os) {
-  *os << "k" << c.k << "_dhat" << c.dhat << "_measure" << c.measure
-      << "_seed" << c.seed;
-}
 
 class PromotionSweep : public ::testing::TestWithParam<PromotionParam> {};
 

@@ -5,7 +5,6 @@
 #include "query/skyline_query.h"
 
 #include <algorithm>
-#include <ostream>
 #include <vector>
 
 #include "skyline/skyline_compute.h"
@@ -72,12 +71,6 @@ struct AlgoParam {
   QueryAlgorithm algo;
   const char* name;
 };
-
-// Prints the case as its stable label, so the gtest parameter dump (and
-// hence the ctest test name) never shows raw object bytes.
-void PrintTo(const AlgoParam& c, std::ostream* os) {
-  *os << c.name;
-}
 
 class QueryAlgorithmTest : public ::testing::TestWithParam<AlgoParam> {};
 

@@ -1,7 +1,6 @@
 // Tests for DiscoveryEngine::Update — the "update of data" half of the
 // paper's Sec. VIII future work, modeled as remove + re-append.
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -67,12 +66,6 @@ struct UpdateParam {
   const char* algorithm;
   bool invariant1;  // which store invariant to verify afterwards
 };
-
-// Prints the case as its stable label, so the gtest parameter dump (and
-// hence the ctest test name) never shows raw object bytes.
-void PrintTo(const UpdateParam& c, std::ostream* os) {
-  *os << c.algorithm;
-}
 
 class EngineUpdateInvariants
     : public ::testing::TestWithParam<UpdateParam> {};
