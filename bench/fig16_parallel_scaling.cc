@@ -77,8 +77,8 @@ RunResult RunSharded(const Dataset& data, const DiscoveryOptions& options,
     }
   }
   result.wall_seconds = timer.ElapsedSeconds();
-  result.comparisons = engine.stats().comparisons;
-  result.memory_bytes = engine.ApproxMemoryBytes();
+  result.comparisons = engine.discoverer().stats().comparisons;
+  result.memory_bytes = engine.discoverer().ApproxMemoryBytes();
   return result;
 }
 

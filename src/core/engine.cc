@@ -120,6 +120,14 @@ ArrivalReport DiscoveryEngine::Append(const Row& row) {
   return DiscoverLast();
 }
 
+std::vector<ArrivalReport> DiscoveryEngine::AppendBatch(
+    std::span<const Row> rows) {
+  std::vector<ArrivalReport> reports;
+  reports.reserve(rows.size());
+  for (const Row& row : rows) reports.push_back(Append(row));
+  return reports;
+}
+
 Status DiscoveryEngine::Remove(TupleId t) {
   if (!discoverer_->SupportsRemoval()) {
     return Status::Unimplemented(std::string(discoverer_->name()) +
@@ -148,23 +156,14 @@ StatusOr<ArrivalReport> DiscoveryEngine::Update(TupleId t, const Row& row) {
   return Append(row);
 }
 
-void DiscoveryEngine::WriteStateHeader(BinaryWriter* w, std::string_view name,
-                                       int max_bound_dims,
-                                       int max_measure_dims, double tau,
-                                       bool rank_facts, StoragePolicy policy) {
-  w->WriteString(std::string(name));
-  w->WriteU32(static_cast<uint32_t>(max_bound_dims));
-  w->WriteU32(static_cast<uint32_t>(max_measure_dims));
-  w->WriteF64(tau);
-  w->WriteU8(rank_facts ? 1 : 0);
-  w->WriteU8(static_cast<uint8_t>(policy));
-}
-
 void DiscoveryEngine::SerializeState(BinaryWriter* w) {
   Discoverer& disc = *discoverer_;
-  WriteStateHeader(w, disc.name(), disc.max_bound_dims(),
-                   static_cast<int>(disc.subspaces().max_size()), config_.tau,
-                   config_.rank_facts, disc.storage_policy());
+  w->WriteString(std::string(disc.name()));
+  w->WriteU32(static_cast<uint32_t>(disc.max_bound_dims()));
+  w->WriteU32(static_cast<uint32_t>(disc.subspaces().max_size()));
+  w->WriteF64(config_.tau);
+  w->WriteU8(config_.rank_facts ? 1 : 0);
+  w->WriteU8(static_cast<uint8_t>(disc.storage_policy()));
   counter_.Serialize(w);
   MuStore* store = disc.mutable_store();
   w->WriteU8(store != nullptr ? 1 : 0);

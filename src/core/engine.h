@@ -2,8 +2,8 @@
 #define SITFACT_CORE_ENGINE_H_
 
 #include <memory>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -28,7 +28,11 @@ struct ArrivalReport {
 
 /// Facade tying together the relation, a discovery algorithm, the context
 /// counter and prominence ranking: feed rows, get narratable facts. This is
-/// the API the examples use.
+/// the API the examples use, and the one engine type every consumer holds:
+/// the sharded engine (exec/sharded_engine.h) is a subclass that overrides
+/// only DiscoverLast and AppendBatch.
+///
+/// Single-writer: one thread calls the mutating methods at a time.
 class DiscoveryEngine {
  public:
   struct Config {
@@ -51,13 +55,22 @@ class DiscoveryEngine {
   /// `relation` must outlive the engine.
   DiscoveryEngine(Relation* relation, std::unique_ptr<Discoverer> discoverer,
                   const Config& config);
+  virtual ~DiscoveryEngine() = default;
+
+  DiscoveryEngine(const DiscoveryEngine&) = delete;
+  DiscoveryEngine& operator=(const DiscoveryEngine&) = delete;
 
   /// Appends `row` and discovers its facts.
   ArrivalReport Append(const Row& row);
 
+  /// Streams `rows` through the engine: one report per row, in order, each
+  /// identical to what Append would have returned. The default is a loop of
+  /// Append; the sharded engine pipelines it.
+  virtual std::vector<ArrivalReport> AppendBatch(std::span<const Row> rows);
+
   /// Runs discovery for a tuple already appended to the relation (it must be
   /// the most recent one).
-  ArrivalReport DiscoverLast();
+  virtual ArrivalReport DiscoverLast();
 
   /// Deletion extension (the paper's future work): tombstones `t`, fixes the
   /// context cardinalities, and repairs the algorithm's state. Fails without
@@ -80,13 +93,14 @@ class DiscoveryEngine {
   /// The µ-side skyband shadow: attached when ranking is on, the algorithm
   /// keeps a notifying (in-memory) store, and SITFACT_SKYBAND_INDEX is not
   /// "off". Null otherwise (baselines, file stores, escape hatch) — every
-  /// consumer falls back to store reads. Prominence denominators are served
-  /// from it when present; forward queries may probe it via
-  /// SkylineQueryEngine's skyband-aware overload.
+  /// consumer falls back to store reads. The sequential engine serves
+  /// prominence denominators from it when present; the sharded engine's
+  /// shards read their own segments, and the index follows the segmented
+  /// store for other consumers.
   const SkybandIndex* skyband_index() const { return skyband_.get(); }
 
   const ContextCounter& counter() const { return counter_; }
-  /// Snapshot restore needs to repopulate the counter in place.
+  /// Snapshot restore and count-only WAL replay write the counter directly.
   ContextCounter& mutable_counter() { return counter_; }
   const Config& config() const { return config_; }
 
@@ -96,16 +110,6 @@ class DiscoveryEngine {
   /// into a full snapshot file; persist/ reuses the same section for
   /// checkpoints (see docs/persistence.md for the byte layout).
   void SerializeState(BinaryWriter* w);
-
-  /// Shared framing of the section's fixed-field prefix. Both engine kinds
-  /// (here and ShardedEngine::SerializeState) MUST write it through this
-  /// one function — the loaders parse it positionally and snapshots restore
-  /// across engine kinds, so two independent writer copies would be a
-  /// format fork waiting to happen.
-  static void WriteStateHeader(BinaryWriter* w, std::string_view name,
-                               int max_bound_dims, int max_measure_dims,
-                               double tau, bool rank_facts,
-                               StoragePolicy policy);
 
  private:
   Relation* relation_;

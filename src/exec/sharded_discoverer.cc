@@ -75,7 +75,7 @@ ShardedDiscoverer::ShardedDiscoverer(const Relation* relation,
 
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(max_bound_));
+    shards_.push_back(std::make_unique<Shard>());
   }
   std::vector<uint8_t> segment_of_mask(static_cast<size_t>(FullMask(nd)) + 1,
                                        0);
@@ -97,7 +97,7 @@ ShardedDiscoverer::~ShardedDiscoverer() {
 }
 
 void ShardedDiscoverer::Discover(TupleId t, std::vector<SkylineFact>* facts) {
-  StartArrival(t, /*rank=*/false, /*slot=*/0);
+  StartArrival(t, /*counter=*/nullptr, /*slot=*/0);
   WaitArrival();
   for (int s = 0; s < num_shards(); ++s) {
     const ShardOutput& out = output(s, 0);
@@ -105,15 +105,16 @@ void ShardedDiscoverer::Discover(TupleId t, std::vector<SkylineFact>* facts) {
   }
 }
 
-void ShardedDiscoverer::StartArrival(TupleId t, bool rank, int slot) {
+void ShardedDiscoverer::StartArrival(TupleId t, const ContextCounter* counter,
+                                     int slot) {
   SITFACT_CHECK_MSG(!arrival_pending_, "StartArrival without WaitArrival");
   SITFACT_DCHECK(t + 1 == relation_->size());
   ++stats_.arrivals;
   board_.Reset();
   pending_tuple_ = t;
   arrival_pending_ = true;
-  pool_->Launch(num_shards(), [this, t, rank, slot](int shard) {
-    RunShardArrival(shard, t, rank, slot);
+  pool_->Launch(num_shards(), [this, t, counter, slot](int shard) {
+    RunShardArrival(shard, t, counter, slot);
   });
 }
 
@@ -135,7 +136,8 @@ void ShardedDiscoverer::FoldShardStats() {
   stats_.constraints_traversed = traversed;
 }
 
-void ShardedDiscoverer::RunShardArrival(int shard, TupleId t, bool rank,
+void ShardedDiscoverer::RunShardArrival(int shard, TupleId t,
+                                        const ContextCounter* counter,
                                         int slot) {
   const Relation& r = *relation_;
   Shard& sh = *shards_[shard];
@@ -143,10 +145,6 @@ void ShardedDiscoverer::RunShardArrival(int shard, TupleId t, bool rank,
   ShardOutput& out = sh.out[slot];
   out.facts.clear();
   out.ranked.clear();
-
-  // The arrival joins |σ_C(R)| for every owned constraint it satisfies —
-  // which is all of them (owned masks are lifted with t's own values).
-  sh.counter.OnArrivalMasks(r, t, sh.masks);
 
   const std::vector<MeasureMask>& subspaces = universe_.masks();
   for (DimMask mask : sh.masks) {
@@ -202,14 +200,14 @@ void ShardedDiscoverer::RunShardArrival(int shard, TupleId t, bool rank,
     }
   }
 
-  if (rank) {
+  if (counter != nullptr) {
     out.ranked.reserve(out.facts.size());
     for (const SkylineFact& f : out.facts) {
       MuStore::Context* ctx = segment->Find(f.constraint);
       SITFACT_DCHECK(ctx != nullptr);
       RankedFact rf;
       rf.fact = f;
-      rf.context_size = sh.counter.Count(f.constraint);
+      rf.context_size = counter->Count(f.constraint);
       rf.skyline_size = ctx->Size(f.subspace);
       rf.prominence = rf.skyline_size == 0
                           ? 0.0
@@ -237,9 +235,8 @@ Status ShardedDiscoverer::Remove(TupleId t) {
 
 void ShardedDiscoverer::RepairShardAfterRemoval(int shard, TupleId t) {
   const Relation& r = *relation_;
-  Shard& sh = *shards_[shard];
+  const Shard& sh = *shards_[shard];
   MuStore* segment = store_->segment(shard);
-  sh.counter.OnRemovalMasks(r, t, sh.masks);
   // Invariant 1 repair (see LatticeDiscovererBase::Remove): only buckets
   // that stored t can change, and they are recomputed from the live
   // relation.
@@ -254,48 +251,9 @@ void ShardedDiscoverer::RepairShardAfterRemoval(int shard, TupleId t) {
   }
 }
 
-void ShardedDiscoverer::CountArrival(TupleId t) {
-  for (auto& shard : shards_) {
-    shard->counter.OnArrivalMasks(*relation_, t, shard->masks);
-  }
-}
-
-void ShardedDiscoverer::CountRemoval(TupleId t) {
-  for (auto& shard : shards_) {
-    shard->counter.OnRemovalMasks(*relation_, t, shard->masks);
-  }
-}
-
-uint64_t ShardedDiscoverer::ContextCount(const Constraint& c) const {
-  DimMask mask = c.bound_mask();
-  return shards_[static_cast<size_t>(store_->SegmentOf(mask))]->counter.Count(
-      c);
-}
-
-void ShardedDiscoverer::ForEachContextCount(
-    const std::function<void(const Constraint&, uint64_t)>& fn) const {
-  for (const auto& shard : shards_) {
-    shard->counter.ForEach(fn);
-  }
-}
-
-uint64_t ShardedDiscoverer::DistinctContexts() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->counter.distinct_contexts();
-  return total;
-}
-
-void ShardedDiscoverer::RestoreContextCount(const Constraint& c,
-                                            uint64_t count) {
-  DimMask mask = c.bound_mask();
-  shards_[static_cast<size_t>(store_->SegmentOf(mask))]->counter.Restore(
-      c, count);
-}
-
 size_t ShardedDiscoverer::ApproxMemoryBytes() const {
   size_t total = store_->ApproxMemoryBytes();
   for (const auto& shard : shards_) {
-    total += shard->counter.ApproxMemoryBytes();
     total += shard->masks.size() * sizeof(DimMask);
   }
   return total;

@@ -18,11 +18,12 @@ namespace sitfact {
 /// The truncated lattice C^t is partitioned into K shards by DimMask
 /// (round-robin over the bottom-up visit order, so every shard gets a mix of
 /// specific and general constraints). Each shard owns one segment of a
-/// SegmentedMuStore plus one ContextCounter slice, and a per-arrival task
-/// evaluates the new tuple against every owned (C, M) bucket under
-/// Invariant 1 — exactly BottomUp's per-bucket update rule, which depends
-/// only on that bucket's contents, so any partition of the masks yields the
-/// sequential engine's facts, buckets, and prominence denominators.
+/// SegmentedMuStore, and a per-arrival task evaluates the new tuple against
+/// every owned (C, M) bucket under Invariant 1 — exactly BottomUp's
+/// per-bucket update rule, which depends only on that bucket's contents, so
+/// any partition of the masks yields the sequential engine's facts, buckets,
+/// and prominence denominators. Ranking reads the engine's one context
+/// counter, which no shard writes.
 ///
 /// Constraint pruning (Prop. 3) crosses shards through a lock-free pruner
 /// board: a shard that finds a dominator publishes the agreement mask, and
@@ -64,8 +65,10 @@ class ShardedDiscoverer : public Discoverer {
   /// the shard tasks out into `slot` (0 or 1) and returns; WaitArrival joins
   /// them (helping with unclaimed shards) and folds the work counters into
   /// stats(). Outputs of `slot` are stable from WaitArrival until the next
-  /// StartArrival with the same slot.
-  void StartArrival(TupleId t, bool rank, int slot);
+  /// StartArrival with the same slot. A non-null `counter` ranks every fact
+  /// against it; it must already count `t` and stay unwritten until
+  /// WaitArrival returns. Null means do not rank.
+  void StartArrival(TupleId t, const ContextCounter* counter, int slot);
   void WaitArrival();
   const ShardOutput& output(int shard, int slot) const {
     return shards_[shard]->out[slot];
@@ -73,10 +76,6 @@ class ShardedDiscoverer : public Discoverer {
 
   bool SupportsRemoval() const override { return true; }
   Status Remove(TupleId t) override;
-
-  /// Per-shard counters and segments cannot be rebuilt by the generic
-  /// snapshot path (it restores through a single store handle).
-  bool SupportsSnapshotRestore() const override { return false; }
 
   const MuStore* store() const override { return store_.get(); }
   MuStore* mutable_store() override { return store_.get(); }
@@ -88,29 +87,6 @@ class ShardedDiscoverer : public Discoverer {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_threads() const { return pool_->threads(); }
-
-  /// Count-only ingestion for delta-checkpoint recovery (docs/persistence.md):
-  /// folds an arrival/removal into every shard's counter slice without any
-  /// discovery or bucket work. The µ segments are restored separately from
-  /// the delta chain's bucket dumps; replaying counts this way re-derives
-  /// the |σ_C(R)| the full replay would have produced, at relation-scan cost.
-  void CountArrival(TupleId t);
-  void CountRemoval(TupleId t);
-
-  /// |σ_C(R)| aggregated across the shard-partitioned counters (the count
-  /// lives wholly in the shard owning C's mask).
-  uint64_t ContextCount(const Constraint& c) const;
-
-  /// Persistence hooks (docs/persistence.md): the per-shard counter slices
-  /// viewed and restored as one logical counter. Because each constraint's
-  /// count lives wholly in the shard owning its mask, iterating every shard
-  /// visits each constraint exactly once, and a restore routes the entry to
-  /// the owning shard — so a snapshot taken at one shard count restores
-  /// cleanly at any other.
-  void ForEachContextCount(
-      const std::function<void(const Constraint&, uint64_t)>& fn) const;
-  uint64_t DistinctContexts() const;
-  void RestoreContextCount(const Constraint& c, uint64_t count);
 
  private:
   /// Lock-free, append-only prune publications for the current arrival, one
@@ -133,15 +109,13 @@ class ShardedDiscoverer : public Discoverer {
 
   struct Shard {
     std::vector<DimMask> masks;  // owned masks, descending popcount
-    ContextCounter counter;      // |σ_C(R)| for owned masks only
     DiscoveryStats stats;        // cumulative, owner-thread written
     ShardOutput out[2];
     std::vector<TupleId> scratch;  // bucket read buffer
-
-    explicit Shard(int max_bound) : counter(max_bound) {}
   };
 
-  void RunShardArrival(int shard, TupleId t, bool rank, int slot);
+  void RunShardArrival(int shard, TupleId t, const ContextCounter* counter,
+                       int slot);
   void RepairShardAfterRemoval(int shard, TupleId t);
 
   /// Sums per-shard work counters into the base-class stats_ (arrivals are

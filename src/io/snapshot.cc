@@ -7,6 +7,7 @@
 #include "common/bits.h"
 #include "common/logging.h"
 #include "common/binary_io.h"
+#include "exec/sharded_engine.h"
 #include "storage/mu_store.h"
 
 namespace sitfact {
@@ -178,18 +179,6 @@ Status SaveEngineSnapshot(DiscoveryEngine& engine, const std::string& path) {
   return w.Close();
 }
 
-Status SaveEngineSnapshot(ShardedEngine& engine, const std::string& path) {
-  BinaryWriter w(path);
-  w.WriteRaw(kMagic, sizeof(kMagic));
-  w.WriteU32(kVersion);
-  w.WriteU8(kFlagHasEngine);
-  WriteSchema(&w, engine.relation().schema());
-  WriteRelation(&w, engine.relation());
-  engine.SerializeState(&w);
-  w.WriteChecksum();
-  return w.Close();
-}
-
 namespace {
 
 /// Shared header + relation decoding; on success leaves the reader
@@ -246,12 +235,10 @@ StatusOr<RestoredEngine> LoadEngineSnapshot(
   const int num_dims = relation->schema().num_dimensions();
 
   std::string saved_algorithm = r.ReadString();
-  DiscoveryOptions disc_options;
-  disc_options.max_bound_dims = static_cast<int>(r.ReadU32());
-  disc_options.max_measure_dims = static_cast<int>(r.ReadU32());
-  disc_options.storage = options.storage;
   DiscoveryEngine::Config config;
-  config.options = disc_options;
+  config.options.max_bound_dims = static_cast<int>(r.ReadU32());
+  config.options.max_measure_dims = static_cast<int>(r.ReadU32());
+  config.options.storage = options.storage;
   config.tau = r.ReadF64();
   config.rank_facts = r.ReadU8() != 0;
   auto saved_policy = static_cast<StoragePolicy>(r.ReadU8());
@@ -265,15 +252,19 @@ StatusOr<RestoredEngine> LoadEngineSnapshot(
   const std::string algorithm = options.algorithm_override.empty()
                                     ? saved_algorithm
                                     : options.algorithm_override;
-  auto disc_or = DiscoveryEngine::CreateDiscoverer(
-      algorithm, relation.get(), disc_options, options.file_store_dir);
-  if (!disc_or.ok()) return disc_or.status();
-  std::unique_ptr<Discoverer> disc = std::move(disc_or).value();
+  // The engine exists before its state is restored: a skyband shadow it
+  // attaches observes the bucket dump as it lands.
+  auto engine_or =
+      CreateEngine(relation.get(), algorithm, options.num_shards,
+                   options.num_threads, config, options.file_store_dir);
+  if (!engine_or.ok()) return engine_or.status();
+  std::unique_ptr<DiscoveryEngine> engine = std::move(engine_or).value();
+  Discoverer& disc = engine->discoverer();
   bool replay = false;
-  if (!disc->SupportsSnapshotRestore()) {
+  if (!disc.SupportsSnapshotRestore()) {
     if (!options.allow_replay_rebuild) {
       return Status::Unimplemented(
-          algorithm +
+          std::string(disc.name()) +
           " cannot be restored from a snapshot (set allow_replay_rebuild to "
           "rebuild it by re-running discovery)");
     }
@@ -282,20 +273,21 @@ StatusOr<RestoredEngine> LoadEngineSnapshot(
 
   // Counter entries, staged into a scratch counter and moved into the
   // engine once the checksum has cleared.
-  ContextCounter counts(disc->max_bound_dims());
+  ContextCounter counts(disc.max_bound_dims());
   Status counter_read = counts.Deserialize(&r, num_dims);
   if (!counter_read.ok()) return counter_read;
 
   // µ-store dump.
   const bool saved_store = r.ReadU8() != 0;
-  MuStore* store = disc->mutable_store();
+  MuStore* store = disc.mutable_store();
   if (saved_store && store != nullptr && !replay &&
-      disc->storage_policy() != saved_policy) {
+      disc.storage_policy() != saved_policy) {
     if (!options.allow_replay_rebuild) {
       return Status::InvalidArgument(
-          "algorithm override crosses storage policies; bucket contents "
-          "would violate the target invariant (set allow_replay_rebuild to "
-          "rebuild instead)");
+          std::string(disc.name()) +
+          " keeps a different storage policy than the snapshot; its bucket "
+          "contents would violate the target invariant (set "
+          "allow_replay_rebuild to rebuild instead)");
     }
     replay = true;
   }
@@ -323,11 +315,6 @@ StatusOr<RestoredEngine> LoadEngineSnapshot(
   r.VerifyChecksum();
   if (!r.ok()) return r.status();
 
-  if (config.rank_facts && store == nullptr) {
-    // The saved engine ranked facts, the override cannot.
-    config.rank_facts = false;
-  }
-
   if (replay) {
     // Re-run discovery over live history in arrival order. Each Discover(t)
     // consults only tuples < t plus algorithm state, and skipping tombstoned
@@ -336,95 +323,15 @@ StatusOr<RestoredEngine> LoadEngineSnapshot(
     for (TupleId t = 0; t < relation->size(); ++t) {
       if (relation->IsDeleted(t)) continue;
       scratch.clear();
-      disc->Discover(t, &scratch);
-    }
-  } else {
-    Status rebuilt = disc->RebuildAuxiliary();
-    if (!rebuilt.ok()) return rebuilt;
-  }
-
-  RestoredEngine out;
-  out.relation = std::move(relation);
-  out.engine = std::make_unique<DiscoveryEngine>(out.relation.get(),
-                                                 std::move(disc), config);
-  out.engine->mutable_counter() = std::move(counts);
-  return out;
-}
-
-StatusOr<RestoredShardedEngine> LoadShardedEngineSnapshot(
-    const std::string& path, const ShardedSnapshotLoadOptions& options) {
-  BinaryReader r(path);
-  uint8_t flags = 0;
-  auto rel_or = ReadHeaderAndRelation(&r, &flags);
-  if (!rel_or.ok()) return rel_or.status();
-  if ((flags & kFlagHasEngine) == 0) {
-    return Status::InvalidArgument(
-        "snapshot has no engine section; use LoadRelationSnapshot");
-  }
-  std::unique_ptr<Relation> relation = std::move(rel_or).value();
-  const int num_dims = relation->schema().num_dimensions();
-
-  std::string saved_algorithm = r.ReadString();
-  ShardedEngine::Config config;
-  config.num_shards = options.num_shards;
-  config.num_threads = options.num_threads;
-  config.options.max_bound_dims = static_cast<int>(r.ReadU32());
-  config.options.max_measure_dims = static_cast<int>(r.ReadU32());
-  config.options.storage = options.storage;
-  config.tau = r.ReadF64();
-  r.ReadU8();  // saved rank_facts; the sharded engine always ranks
-  auto saved_policy = static_cast<StoragePolicy>(r.ReadU8());
-  if (!r.ok()) return r.status();
-
-  auto engine = std::make_unique<ShardedEngine>(relation.get(), config);
-  ShardedDiscoverer& disc = engine->discoverer();
-
-  // The sharded segments follow Invariant 1, so only an Invariant-1 bucket
-  // dump restores directly; anything else (TopDown family, store-less
-  // baselines, C-CSC) needs the replay escape hatch.
-  bool replay = saved_policy != StoragePolicy::kAllSkylineConstraints;
-
-  // Counter entries; staged so the replay path can discard them (a sharded
-  // replay rebuilds per-shard counts inside Discover()).
-  ContextCounter counts(disc.max_bound_dims());
-  Status counter_read = counts.Deserialize(&r, num_dims);
-  if (!counter_read.ok()) return counter_read;
-
-  const bool saved_store = r.ReadU8() != 0;
-  if (!saved_store) replay = true;
-  if (replay && !options.allow_replay_rebuild) {
-    return Status::InvalidArgument(
-        saved_algorithm +
-        " snapshot cannot seed the sharded engine's Invariant-1 segments "
-        "directly (set allow_replay_rebuild to rebuild by re-running "
-        "discovery)");
-  }
-  if (saved_store) {
-    MuStore* target = replay ? nullptr : disc.mutable_store();
-    Status dump_read =
-        ReadMuBucketDump(&r, num_dims, relation->size(), target);
-    if (!dump_read.ok()) return dump_read;
-  }
-
-  r.VerifyChecksum();
-  if (!r.ok()) return r.status();
-
-  if (replay) {
-    // Re-run discovery over live history in arrival order; per-shard
-    // counters are rebuilt by the arrivals themselves.
-    std::vector<SkylineFact> scratch;
-    for (TupleId t = 0; t < relation->size(); ++t) {
-      if (relation->IsDeleted(t)) continue;
-      scratch.clear();
       disc.Discover(t, &scratch);
     }
   } else {
-    counts.ForEach([&](const Constraint& c, uint64_t count) {
-      disc.RestoreContextCount(c, count);
-    });
+    Status rebuilt = disc.RebuildAuxiliary();
+    if (!rebuilt.ok()) return rebuilt;
   }
+  engine->mutable_counter() = std::move(counts);
 
-  RestoredShardedEngine out;
+  RestoredEngine out;
   out.relation = std::move(relation);
   out.engine = std::move(engine);
   return out;

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "core/engine.h"
-#include "exec/sharded_engine.h"
 #include "relation/relation.h"
 
 namespace sitfact {
@@ -30,9 +29,10 @@ namespace sitfact {
 /// restore from their bucket dump; BaselineSeq/BruteForce are stateless;
 /// BaselineIdx rebuilds its k-d tree from the relation. C-CSC keeps private
 /// skycubes and reports Unimplemented on load (re-run the stream instead,
-/// via SnapshotLoadOptions::allow_replay_rebuild). Sharded-engine snapshots
-/// ("Sharded") follow Invariant 1 and restore into either engine kind at
-/// any shard count; see docs/persistence.md.
+/// via SnapshotLoadOptions::allow_replay_rebuild). Both engine kinds write
+/// the same engine section; sharded-engine snapshots ("Sharded") follow
+/// Invariant 1 and restore into either engine kind at any shard count, and
+/// a snapshot carries no shard geometry; see docs/persistence.md.
 
 /// Options for LoadEngineSnapshot.
 struct SnapshotLoadOptions {
@@ -59,10 +59,17 @@ struct SnapshotLoadOptions {
   /// so the restore side picks freely — e.g. a run saved in-memory can be
   /// reopened onto the paged store under a tighter cache budget.
   StorageConfig storage;
+
+  /// > 0 restores into a ShardedEngine with this many shards (any K works:
+  /// bucket routing is recomputed); algorithm_override is then ignored. Its
+  /// segments follow Invariant 1, so a TopDown-family or store-less
+  /// snapshot needs allow_replay_rebuild.
+  int num_shards = 0;
+  int num_threads = 0;  // 0 means num_shards
 };
 
-/// A restored engine plus the relation it reads (the engine holds a raw
-/// pointer into `relation`, so keep both alive together).
+/// A restored engine (either kind) plus the relation it reads (the engine
+/// holds a raw pointer into `relation`, so keep both alive together).
 struct RestoredEngine {
   std::unique_ptr<Relation> relation;
   std::unique_ptr<DiscoveryEngine> engine;
@@ -77,48 +84,18 @@ StatusOr<std::unique_ptr<Relation>> LoadRelationSnapshot(
 
 /// Writes relation + engine state. The engine's µ store (when present) is
 /// dumped bucket by bucket; for file-backed stores this reads every bucket
-/// file once.
+/// file once. A sharded engine's dump is the union of its segments, which
+/// follow Invariant 1, so its snapshot also restores into the sequential
+/// BottomUp family (LoadEngineSnapshot maps "Sharded" to SBottomUp when no
+/// override is given).
 Status SaveEngineSnapshot(DiscoveryEngine& engine, const std::string& path);
 
-/// Sharded counterpart: same file format, algorithm name "Sharded", the
-/// aggregated counter view and the union of µ segments. Because the sharded
-/// store follows Invariant 1, the resulting snapshot also restores into the
-/// sequential BottomUp family (LoadEngineSnapshot maps "Sharded" to
-/// SBottomUp when no override is given).
-Status SaveEngineSnapshot(ShardedEngine& engine, const std::string& path);
-
-/// Restores a full engine. Fails with Unimplemented when the (possibly
-/// overridden) algorithm cannot be rebuilt from a snapshot, InvalidArgument
-/// on option/policy mismatches, Corruption on damaged files.
+/// Restores a full engine, sequential or (num_shards > 0) sharded. Fails
+/// with Unimplemented when the (possibly overridden) algorithm cannot be
+/// rebuilt from a snapshot, InvalidArgument on option/policy mismatches,
+/// Corruption on damaged files.
 StatusOr<RestoredEngine> LoadEngineSnapshot(
     const std::string& path, const SnapshotLoadOptions& options = {});
-
-/// A restored sharded engine plus the relation it reads.
-struct RestoredShardedEngine {
-  std::unique_ptr<Relation> relation;
-  std::unique_ptr<ShardedEngine> engine;
-};
-
-/// Options for LoadShardedEngineSnapshot. A snapshot has no inherent shard
-/// geometry — bucket and counter routing is recomputed — so any K works,
-/// including restoring a sequential snapshot into a sharded engine.
-struct ShardedSnapshotLoadOptions {
-  int num_shards = 4;
-  int num_threads = 0;  // 0 means num_shards
-  /// Same escape hatch as SnapshotLoadOptions: snapshots whose bucket dump
-  /// does not follow Invariant 1 (TopDown family) or that carry no store
-  /// dump (baselines, C-CSC) rebuild by replaying discovery over the
-  /// restored relation.
-  bool allow_replay_rebuild = false;
-
-  /// µ-store backend for the restored engine's segments (see
-  /// SnapshotLoadOptions::storage).
-  StorageConfig storage;
-};
-
-/// Restores a snapshot (saved from either engine kind) into a ShardedEngine.
-StatusOr<RestoredShardedEngine> LoadShardedEngineSnapshot(
-    const std::string& path, const ShardedSnapshotLoadOptions& options = {});
 
 }  // namespace sitfact
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/binary_io.h"
+#include "exec/sharded_engine.h"
 #include "io/snapshot.h"
 #include "storage/mu_store.h"
 
@@ -226,28 +227,15 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(
           "dimension and one measure");
     }
     d->relation_ = std::make_unique<Relation>(schema);
-    if (options.num_shards > 0) {
-      ShardedEngine::Config config;
-      config.num_shards = options.num_shards;
-      config.num_threads = options.num_threads;
-      config.options = options.discovery;
-      config.tau = options.tau;
-      config.rank_facts = options.rank_facts;
-      d->sharded_engine_ =
-          std::make_unique<ShardedEngine>(d->relation_.get(), config);
-    } else {
-      auto disc_or = DiscoveryEngine::CreateDiscoverer(
-          options.algorithm, d->relation_.get(), options.discovery,
-          d->options_.file_store_dir);
-      if (!disc_or.ok()) return disc_or.status();
-      DiscoveryEngine::Config config;
-      config.options = options.discovery;
-      config.tau = options.tau;
-      config.rank_facts =
-          options.rank_facts && disc_or.value()->store() != nullptr;
-      d->engine_ = std::make_unique<DiscoveryEngine>(
-          d->relation_.get(), std::move(disc_or).value(), config);
-    }
+    DiscoveryEngine::Config config;
+    config.options = options.discovery;
+    config.tau = options.tau;
+    config.rank_facts = options.rank_facts;
+    auto engine_or = CreateEngine(d->relation_.get(), options.algorithm,
+                                  options.num_shards, options.num_threads,
+                                  config, d->options_.file_store_dir);
+    if (!engine_or.ok()) return engine_or.status();
+    d->engine_ = std::move(engine_or).value();
     d->recovery_.created = true;
     d->EnableDeltaTrackingIfEligible();
     // The genesis checkpoint is always full — a delta has no base yet.
@@ -262,38 +250,22 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(
   // hatch) abort, because every older snapshot would fail the same way.
   size_t chosen = snapshots.size();
   Status last_error = Status::Ok();
+  SnapshotLoadOptions load;
+  load.file_store_dir = d->options_.file_store_dir;
+  load.allow_replay_rebuild = options.allow_replay_rebuild;
+  load.storage = options.discovery.storage;
+  load.num_shards = options.num_shards;
+  load.num_threads = options.num_threads;
   for (size_t i = snapshots.size(); i-- > 0;) {
-    Status attempt = Status::Ok();
-    if (options.num_shards > 0) {
-      ShardedSnapshotLoadOptions load;
-      load.num_shards = options.num_shards;
-      load.num_threads = options.num_threads;
-      load.allow_replay_rebuild = options.allow_replay_rebuild;
-      load.storage = options.discovery.storage;
-      auto restored_or = LoadShardedEngineSnapshot(snapshots[i].path, load);
-      if (restored_or.ok()) {
-        RestoredShardedEngine restored = std::move(restored_or).value();
-        d->relation_ = std::move(restored.relation);
-        d->sharded_engine_ = std::move(restored.engine);
-        chosen = i;
-        break;
-      }
-      attempt = restored_or.status();
-    } else {
-      SnapshotLoadOptions load;
-      load.file_store_dir = d->options_.file_store_dir;
-      load.allow_replay_rebuild = options.allow_replay_rebuild;
-      load.storage = options.discovery.storage;
-      auto restored_or = LoadEngineSnapshot(snapshots[i].path, load);
-      if (restored_or.ok()) {
-        RestoredEngine restored = std::move(restored_or).value();
-        d->relation_ = std::move(restored.relation);
-        d->engine_ = std::move(restored.engine);
-        chosen = i;
-        break;
-      }
-      attempt = restored_or.status();
+    auto restored_or = LoadEngineSnapshot(snapshots[i].path, load);
+    if (restored_or.ok()) {
+      RestoredEngine restored = std::move(restored_or).value();
+      d->relation_ = std::move(restored.relation);
+      d->engine_ = std::move(restored.engine);
+      chosen = i;
+      break;
     }
+    const Status& attempt = restored_or.status();
     last_error = attempt;
     if (attempt.code() != StatusCode::kCorruption &&
         attempt.code() != StatusCode::kIoError) {
@@ -483,10 +455,8 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(
     d->checkpoint_seq_ = chain_end;
     d->last_chain_seq_ = chain_end;
     d->deltas_since_full_ = static_cast<int>(chain.size());
-    if (d->engine_ != nullptr) {
-      Status rebuilt = d->engine_->discoverer().RebuildAuxiliary();
-      if (!rebuilt.ok()) return rebuilt;
-    }
+    Status rebuilt = d->engine_->discoverer().RebuildAuxiliary();
+    if (!rebuilt.ok()) return rebuilt;
   }
   // Dirty tracking starts here: the fully-replayed ops below mutate buckets
   // the next delta checkpoint must capture. (The delta writes above happen
@@ -497,13 +467,13 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(
     Status applied = Status::Ok();
     switch (op.kind) {
       case WalOpKind::kAppend:
-        d->ApplyAppend(op.row);
+        d->engine_->Append(op.row);
         break;
       case WalOpKind::kRemove:
-        applied = d->ApplyRemove(op.target);
+        applied = d->engine_->Remove(op.target);
         break;
       case WalOpKind::kUpdate: {
-        auto report_or = d->ApplyUpdate(op.target, op.row);
+        auto report_or = d->engine_->Update(op.target, op.row);
         applied = report_or.status();
         break;
       }
@@ -532,8 +502,7 @@ DurableEngine::~DurableEngine() {
 }
 
 std::string DurableEngine::algorithm() const {
-  return engine_ != nullptr ? std::string(engine_->discoverer().name())
-                            : std::string(sharded_engine_->discoverer().name());
+  return std::string(engine_->discoverer().name());
 }
 
 Status DurableEngine::Log(WalOp op) {
@@ -558,20 +527,6 @@ Status DurableEngine::Log(WalOp op) {
   }
   ++next_seq_;
   return Status::Ok();
-}
-
-ArrivalReport DurableEngine::ApplyAppend(const Row& row) {
-  return engine_ != nullptr ? engine_->Append(row)
-                            : sharded_engine_->Append(row);
-}
-
-Status DurableEngine::ApplyRemove(TupleId t) {
-  return engine_ != nullptr ? engine_->Remove(t) : sharded_engine_->Remove(t);
-}
-
-StatusOr<ArrivalReport> DurableEngine::ApplyUpdate(TupleId t, const Row& row) {
-  return engine_ != nullptr ? engine_->Update(t, row)
-                            : sharded_engine_->Update(t, row);
 }
 
 void DurableEngine::MaybeAutoCheckpoint() {
@@ -607,7 +562,7 @@ StatusOr<ArrivalReport> DurableEngine::Append(const Row& row) {
   op.row = row;
   Status logged = Log(std::move(op));
   if (!logged.ok()) return logged;
-  ArrivalReport report = ApplyAppend(row);
+  ArrivalReport report = engine_->Append(row);
   MaybeAutoCheckpoint();
   return report;
 }
@@ -629,15 +584,7 @@ DurableEngine::BatchResult DurableEngine::AppendBatch(
     if (!result.status.ok()) break;
     ++logged_rows;
   }
-  std::span<const Row> to_apply = rows.subspan(0, logged_rows);
-  if (sharded_engine_ != nullptr) {
-    result.reports = sharded_engine_->AppendBatch(to_apply);
-  } else {
-    result.reports.reserve(to_apply.size());
-    for (const Row& row : to_apply) {
-      result.reports.push_back(engine_->Append(row));
-    }
-  }
+  result.reports = engine_->AppendBatch(rows.subspan(0, logged_rows));
   if (result.status.ok()) MaybeAutoCheckpoint();
   return result;
 }
@@ -653,7 +600,7 @@ Status DurableEngine::Remove(TupleId t) {
   op.target = t;
   Status logged = Log(std::move(op));
   if (!logged.ok()) return logged;
-  Status removed = ApplyRemove(t);
+  Status removed = engine_->Remove(t);
   if (!removed.ok()) return removed;
   MaybeAutoCheckpoint();
   return Status::Ok();
@@ -671,36 +618,21 @@ StatusOr<ArrivalReport> DurableEngine::Update(TupleId t, const Row& row) {
   op.row = row;
   Status logged = Log(std::move(op));
   if (!logged.ok()) return logged;
-  auto report_or = ApplyUpdate(t, row);
+  auto report_or = engine_->Update(t, row);
   if (!report_or.ok()) return report_or.status();
   MaybeAutoCheckpoint();
   return report_or;
 }
 
-MuStore* DurableEngine::mu_store() {
-  if (engine_ != nullptr) return engine_->discoverer().mutable_store();
-  return sharded_engine_ != nullptr
-             ? sharded_engine_->discoverer().mutable_store()
-             : nullptr;
-}
-
-StoragePolicy DurableEngine::storage_policy() {
-  return engine_ != nullptr ? engine_->discoverer().storage_policy()
-                            : StoragePolicy::kAllSkylineConstraints;
-}
-
 void DurableEngine::EnableDeltaTrackingIfEligible() {
   if (!options_.delta_checkpoints) return;
-  MuStore* store = mu_store();
+  Discoverer& disc = engine_->discoverer();
+  MuStore* store = disc.mutable_store();
   if (store == nullptr || !store->SupportsDirtyTracking()) return;
   // Delta recovery rewrites buckets through the dump path, so the algorithm
   // must restore from bucket dumps. C-CSC keeps private skycubes and opts
-  // out; the sharded discoverer restores through its own segment path and
-  // is always eligible.
-  if (engine_ != nullptr &&
-      !engine_->discoverer().SupportsSnapshotRestore()) {
-    return;
-  }
+  // out.
+  if (!disc.SupportsSnapshotRestore()) return;
   store->set_dirty_tracking(true);
 }
 
@@ -708,11 +640,7 @@ Status DurableEngine::ApplyCountOnly(const WalOp& op) {
   switch (op.kind) {
     case WalOpKind::kAppend: {
       const TupleId t = relation_->Append(op.row);
-      if (engine_ != nullptr) {
-        engine_->mutable_counter().OnArrival(*relation_, t);
-      } else {
-        sharded_engine_->discoverer().CountArrival(t);
-      }
+      engine_->mutable_counter().OnArrival(*relation_, t);
       return Status::Ok();
     }
     case WalOpKind::kRemove: {
@@ -720,11 +648,7 @@ Status DurableEngine::ApplyCountOnly(const WalOp& op) {
         return Status::Corruption("count-only remove of a non-live tuple");
       }
       relation_->MarkDeleted(op.target);
-      if (engine_ != nullptr) {
-        engine_->mutable_counter().OnRemoval(*relation_, op.target);
-      } else {
-        sharded_engine_->discoverer().CountRemoval(op.target);
-      }
+      engine_->mutable_counter().OnRemoval(*relation_, op.target);
       return Status::Ok();
     }
     case WalOpKind::kUpdate: {
@@ -828,9 +752,7 @@ Status DurableEngine::CheckpointFull(uint64_t seq) {
 
   // Snapshot to a temp name, then rename: readers either see the whole
   // CRC-valid file or none of it.
-  Status saved = engine_ != nullptr
-                     ? SaveEngineSnapshot(*engine_, tmp_path)
-                     : SaveEngineSnapshot(*sharded_engine_, tmp_path);
+  Status saved = SaveEngineSnapshot(*engine_, tmp_path);
   if (!saved.ok()) {
     std::error_code ignored;
     fs::remove(tmp_path, ignored);

@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "core/engine.h"
-#include "exec/sharded_engine.h"
 #include "persist/wal.h"
 #include "relation/relation.h"
 
@@ -19,8 +18,8 @@ namespace persist {
 /// Knobs for a durable store; the engine-shape fields are consulted only
 /// when `dir` is created (reopening takes the algorithm and truncation knobs
 /// from the newest snapshot), except `num_shards`/`num_threads`, which pick
-/// the backend every time — snapshots carry no shard geometry, so a store
-/// written by the sequential engine reopens sharded and vice versa.
+/// the engine kind every time — snapshots carry no shard geometry, so a
+/// store written by the sequential engine reopens sharded and vice versa.
 struct DurableOptions {
   /// Directory holding snapshot-<seq>.sfsnap and wal-<seq>.sfwal files.
   std::string dir;
@@ -109,7 +108,7 @@ struct RecoveryInfo {
   std::string delta_note;
 };
 
-/// Crash-safe facade over a DiscoveryEngine or ShardedEngine
+/// Crash-safe facade over a DiscoveryEngine of either kind
 /// (docs/persistence.md).
 ///
 /// Every mutation is framed into the write-ahead log before it touches the
@@ -154,9 +153,8 @@ class DurableEngine {
     Status status;
   };
 
-  /// Logs rows until the WAL rejects one, then applies the durable prefix —
-  /// through the sharded engine's pipelined AppendBatch when that backend
-  /// is active.
+  /// Logs rows until the WAL rejects one, then applies the durable prefix
+  /// through the engine's AppendBatch (pipelined when it is sharded).
   BatchResult AppendBatch(std::span<const Row> rows);
 
   /// Logs then applies a deletion / an update (remove + re-append).
@@ -178,10 +176,7 @@ class DurableEngine {
   const RecoveryInfo& recovery() const { return recovery_; }
 
   Relation& relation() { return *relation_; }
-  bool sharded() const { return sharded_engine_ != nullptr; }
-  /// Exactly one backend is non-null.
   DiscoveryEngine* engine() { return engine_.get(); }
-  ShardedEngine* sharded_engine() { return sharded_engine_.get(); }
   /// Label for logs: the discoverer name, e.g. "STopDown" or "Sharded".
   std::string algorithm() const;
 
@@ -190,19 +185,18 @@ class DurableEngine {
 
   Status Log(WalOp op);
   Status CheckRowArity(const Row& row) const;
-  ArrivalReport ApplyAppend(const Row& row);
-  Status ApplyRemove(TupleId t);
-  StatusOr<ArrivalReport> ApplyUpdate(TupleId t, const Row& row);
   /// Count-only replay (delta recovery): folds the op into the relation and
   /// the context counter without running discovery — the µ buckets for this
   /// span come from the delta chain instead.
   Status ApplyCountOnly(const WalOp& op);
   void MaybeAutoCheckpoint();
 
-  /// The active engine's µ store (nullptr for store-less baselines) and
-  /// storage policy.
-  MuStore* mu_store();
-  StoragePolicy storage_policy();
+  /// The engine's µ store (nullptr for store-less baselines) and storage
+  /// policy.
+  MuStore* mu_store() { return engine_->discoverer().mutable_store(); }
+  StoragePolicy storage_policy() {
+    return engine_->discoverer().storage_policy();
+  }
   /// Turns on bucket dirty tracking when delta checkpoints are enabled and
   /// the backend supports them (dirty-tracking store + dump-restorable
   /// algorithm). Checkpoint() keys off store->dirty_tracking(), so this is
@@ -217,7 +211,6 @@ class DurableEngine {
   DurableOptions options_;
   std::unique_ptr<Relation> relation_;
   std::unique_ptr<DiscoveryEngine> engine_;
-  std::unique_ptr<ShardedEngine> sharded_engine_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t next_seq_ = 0;        // next op's sequence number
   uint64_t checkpoint_seq_ = 0;  // seq as of the last durable checkpoint

@@ -16,16 +16,6 @@ FactFeed::FactFeed(DiscoveryEngine* engine, Subscriber subscriber,
       options_(options) {
   SITFACT_CHECK(engine != nullptr);
   SITFACT_CHECK(options_.queue_capacity > 0);
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-FactFeed::FactFeed(ShardedEngine* engine, Subscriber subscriber,
-                   Options options)
-    : sharded_engine_(engine),
-      subscriber_(std::move(subscriber)),
-      options_(options) {
-  SITFACT_CHECK(engine != nullptr);
-  SITFACT_CHECK(options_.queue_capacity > 0);
   SITFACT_CHECK(options_.max_batch > 0);
   worker_ = std::thread([this] { WorkerLoop(); });
 }
@@ -100,16 +90,12 @@ FactService::Snapshot FactFeed::Query() const {
 
 bool FactFeed::PopBatch(std::vector<Row>* batch) {
   batch->clear();
-  const bool batched =
-      sharded_engine_ != nullptr ||
-      (durable_engine_ != nullptr && durable_engine_->sharded());
-  size_t limit = batched ? options_.max_batch : 1;
   std::unique_lock<std::mutex> lock(mu_);
   idle_ = true;
   drained_.notify_all();
   not_empty_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
   if (queue_.empty()) return false;  // stopping with an empty backlog
-  while (!queue_.empty() && batch->size() < limit) {
+  while (!queue_.empty() && batch->size() < options_.max_batch) {
     batch->push_back(std::move(queue_.front()));
     queue_.pop();
   }
@@ -179,12 +165,11 @@ void FactFeed::WorkerLoop() {
         drained_.notify_all();
         return;
       }
-    } else if (sharded_engine_ != nullptr) {
-      std::vector<ArrivalReport> reports =
-          sharded_engine_->AppendBatch(std::span<const Row>(batch));
-      for (const ArrivalReport& report : reports) DeliverReport(report);
     } else {
-      for (const Row& row : batch) DeliverReport(engine_->Append(row));
+      for (const ArrivalReport& report :
+           engine_->AppendBatch(std::span<const Row>(batch))) {
+        DeliverReport(report);
+      }
     }
   }
 }

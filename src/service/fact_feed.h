@@ -12,23 +12,25 @@
 
 #include "common/status.h"
 #include "core/engine.h"
-#include "exec/sharded_engine.h"
 #include "persist/durable_engine.h"
 #include "relation/relation.h"
 #include "service/fact_service.h"
 
 namespace sitfact {
 
-/// Asynchronous front end for a DiscoveryEngine or ShardedEngine: producers
-/// Publish() rows from any thread; one worker thread owns the engine (every
-/// discovery engine is single-writer by design) and invokes a subscriber
-/// callback for each arrival that produced prominent facts. This is the
-/// shape a newsroom deployment takes — scrapers push box scores as games
-/// end, the feed emits narratable facts within one arrival of ingestion.
+/// Asynchronous front end for a DiscoveryEngine (of either kind) or a
+/// DurableEngine: producers Publish() rows from any thread; one worker
+/// thread owns the engine (every discovery engine is single-writer by
+/// design) and invokes a subscriber callback for each arrival that produced
+/// prominent facts. This is the shape a newsroom deployment takes —
+/// scrapers push box scores as games end, the feed emits narratable facts
+/// within one arrival of ingestion.
 ///
-/// When backed by a ShardedEngine the worker drains the queue in batches of
-/// up to Options::max_batch rows per engine call (AppendBatch), keeping its
-/// shard pipeline full under bursty producers.
+/// The worker drains whatever the queue holds, up to Options::max_batch
+/// rows, into one AppendBatch call: a sharded engine keeps its shard
+/// pipeline full under bursty producers, and a sequential one appends them
+/// one by one. A producer that waits for each arrival to become visible
+/// always finds an empty queue, so its batches stay at one row.
 ///
 /// Backpressure: the queue is bounded; Publish() blocks when full (the
 /// stream must not silently drop events — a missed arrival would corrupt
@@ -49,9 +51,8 @@ class FactFeed {
     size_t queue_capacity = 1024;
     /// Invoke the subscriber for every arrival, not just prominent ones.
     bool notify_all_arrivals = false;
-    /// Rows handed to the engine per call when backed by a ShardedEngine
-    /// (its AppendBatch pipeline; sequential engines always take one row at
-    /// a time). Subscribers still see one report per arrival, in order.
+    /// Most rows handed to the engine's AppendBatch per call. Subscribers
+    /// still see one report per arrival, in order.
     size_t max_batch = 32;
     /// Optional query index: when set, the worker folds EVERY arrival into
     /// the service (regardless of notify_all_arrivals) before invoking the
@@ -68,16 +69,10 @@ class FactFeed {
   FactFeed(DiscoveryEngine* engine, Subscriber subscriber)
       : FactFeed(engine, std::move(subscriber), Options()) {}
 
-  /// Sharded back end: same contract, batched drain.
-  FactFeed(ShardedEngine* engine, Subscriber subscriber, Options options);
-  FactFeed(ShardedEngine* engine, Subscriber subscriber)
-      : FactFeed(engine, std::move(subscriber), Options()) {}
-
   /// Durable back end: every row is WAL-logged before discovery, and the
   /// DurableEngine's checkpoint-every-N policy
   /// (persist::DurableOptions::checkpoint_every) snapshots the engine as the
-  /// stream flows. Batched drain when the durable store wraps a sharded
-  /// engine. A durability failure (disk full, IO error) latches into
+  /// stream flows. A durability failure (disk full, IO error) latches into
   /// durable_status() and stops the feed — dropping rows would corrupt
   /// every later prominence denominator, so refusing further input is the
   /// only safe reaction.
@@ -134,8 +129,7 @@ class FactFeed {
   /// Books one processed report and notifies the subscriber if warranted.
   void DeliverReport(const ArrivalReport& report);
 
-  DiscoveryEngine* engine_ = nullptr;        // exactly one back end is set
-  ShardedEngine* sharded_engine_ = nullptr;
+  DiscoveryEngine* engine_ = nullptr;  // exactly one back end is set
   persist::DurableEngine* durable_engine_ = nullptr;
   Subscriber subscriber_;
   Options options_;

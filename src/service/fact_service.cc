@@ -164,18 +164,9 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
 StatusOr<std::unique_ptr<FactService>> FactService::FromDurable(
     persist::DurableEngine* durable, Options options) {
   SITFACT_CHECK(durable != nullptr);
-  DiscoveryOptions discovery;
-  double tau = 0.0;
-  if (durable->sharded()) {
-    const ShardedEngine::Config& config = durable->sharded_engine()->config();
-    discovery = config.options;
-    tau = config.tau;
-  } else {
-    const DiscoveryEngine::Config& config = durable->engine()->config();
-    discovery = config.options;
-    tau = config.tau;
-  }
-  return Rebuild(&durable->relation(), discovery, tau, std::move(options));
+  const DiscoveryEngine::Config& config = durable->engine()->config();
+  return Rebuild(&durable->relation(), config.options, config.tau,
+                 std::move(options));
 }
 
 }  // namespace sitfact

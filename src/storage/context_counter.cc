@@ -24,21 +24,6 @@ void ContextCounter::OnRemoval(const Relation& r, TupleId t) {
   }
 }
 
-void ContextCounter::OnArrivalMasks(const Relation& r, TupleId t,
-                                    const std::vector<DimMask>& masks) {
-  for (DimMask mask : masks) {
-    ++counts_[Constraint::ForTuple(r, t, mask)];
-  }
-}
-
-void ContextCounter::OnRemovalMasks(const Relation& r, TupleId t,
-                                    const std::vector<DimMask>& masks) {
-  for (DimMask mask : masks) {
-    auto it = counts_.find(Constraint::ForTuple(r, t, mask));
-    if (it != counts_.end() && it->second > 0) --it->second;
-  }
-}
-
 uint64_t ContextCounter::Count(const Constraint& c) const {
   auto it = counts_.find(c);
   return it == counts_.end() ? 0 : it->second;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -16,7 +15,9 @@ namespace sitfact {
 /// an arrived tuple (restricted to at most `max_bound` bound attributes).
 /// The prominence measure of Sec. VII is
 /// |σ_C(R)| / |λ_M(σ_C(R))|, so discovery engines bump this counter on every
-/// arrival before ranking the arrival's facts.
+/// arrival before ranking the arrival's facts. An engine keeps exactly one;
+/// the sharded engine's worker threads read it while the caller thread,
+/// its only writer, waits for them.
 class ContextCounter {
  public:
   explicit ContextCounter(int max_bound) : max_bound_(max_bound) {}
@@ -27,16 +28,6 @@ class ContextCounter {
 
   /// Deletion extension: decrements the counts OnArrival(t) incremented.
   void OnRemoval(const Relation& r, TupleId t);
-
-  /// Shard-partitioned variants: bump only the constraints lifted from
-  /// `masks`. The ShardedEngine keeps one counter per shard, each fed the
-  /// shard's owned masks, so that across shards the union of updates equals
-  /// one OnArrival/OnRemoval call (masks must partition the truncated
-  /// lattice).
-  void OnArrivalMasks(const Relation& r, TupleId t,
-                      const std::vector<DimMask>& masks);
-  void OnRemovalMasks(const Relation& r, TupleId t,
-                      const std::vector<DimMask>& masks);
 
   /// |σ_C(R)| for a constraint (0 if never seen).
   uint64_t Count(const Constraint& c) const;

@@ -501,6 +501,60 @@ TEST(EngineSnapshot, BaselineToStoreAlgorithmRejected) {
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(EngineSnapshot, ShardedRestoreOfTopDownNeedsReplay) {
+  // The sharded engine's segments follow Invariant 1, so a TopDown bucket
+  // dump (Invariant 2) cannot seed them; only a replay rebuild can.
+  RandomDataConfig cfg;
+  cfg.num_tuples = 50;
+  cfg.seed = 65;
+  cfg.num_dims = 3;
+  cfg.num_measures = 2;
+  Dataset data = RandomDataset(cfg);
+  const size_t cut = 30;
+
+  Relation full_rel(data.schema());
+  auto full_engine = MakeEngine(&full_rel, "TopDown", "");
+  std::vector<ArrivalReport> expected;
+  for (const Row& row : data.rows()) {
+    expected.push_back(full_engine->Append(row));
+  }
+
+  TempFile snap("sharded_topdown.snap");
+  {
+    Relation prefix_rel(data.schema());
+    auto prefix_engine = MakeEngine(&prefix_rel, "TopDown", "");
+    for (size_t i = 0; i < cut; ++i) prefix_engine->Append(data.rows()[i]);
+    ASSERT_TRUE(SaveEngineSnapshot(*prefix_engine, snap.path()).ok());
+  }
+
+  SnapshotLoadOptions load;
+  load.num_shards = 3;
+  load.num_threads = 2;
+  EXPECT_EQ(LoadEngineSnapshot(snap.path(), load).status().code(),
+            StatusCode::kInvalidArgument);
+
+  load.allow_replay_rebuild = true;
+  auto restored_or = LoadEngineSnapshot(snap.path(), load);
+  ASSERT_TRUE(restored_or.ok()) << restored_or.status().ToString();
+  RestoredEngine restored = std::move(restored_or).value();
+  EXPECT_EQ(std::string(restored.engine->discoverer().name()), "Sharded");
+  for (size_t i = cut; i < data.rows().size(); ++i) {
+    SCOPED_TRACE("arrival " + std::to_string(i));
+    ArrivalReport report = restored.engine->Append(data.rows()[i]);
+    ASSERT_EQ(report.facts, expected[i].facts);
+    ASSERT_EQ(report.ranked.size(), expected[i].ranked.size());
+    for (size_t j = 0; j < report.ranked.size(); ++j) {
+      EXPECT_EQ(report.ranked[j].fact, expected[i].ranked[j].fact);
+      EXPECT_EQ(report.ranked[j].context_size,
+                expected[i].ranked[j].context_size);
+      EXPECT_EQ(report.ranked[j].skyline_size,
+                expected[i].ranked[j].skyline_size);
+      EXPECT_EQ(report.ranked[j].prominence, expected[i].ranked[j].prominence);
+    }
+    EXPECT_EQ(report.prominent.size(), expected[i].prominent.size());
+  }
+}
+
 TEST(EngineSnapshot, RelationOnlySnapshotRejectedForEngineLoad) {
   Dataset data = PaperTableI();
   Relation rel(data.schema());

@@ -180,11 +180,7 @@ std::map<Constraint, uint64_t> CounterOf(DurableEngine* durable) {
   auto add = [&out](const Constraint& c, uint64_t n) {
     if (n > 0) out[c] = n;
   };
-  if (durable->engine() != nullptr) {
-    durable->engine()->counter().ForEach(add);
-  } else {
-    durable->sharded_engine()->discoverer().ForEachContextCount(add);
-  }
+  durable->engine()->counter().ForEach(add);
   return out;
 }
 
@@ -465,7 +461,7 @@ TEST(PersistRecovery, CrossBackendAndShardCountRestore) {
     auto durable_or = DurableEngine::Open(options, Schema());
     ASSERT_TRUE(durable_or.ok()) << durable_or.status().ToString();
     std::unique_ptr<DurableEngine> durable = std::move(durable_or).value();
-    ASSERT_TRUE(durable->sharded());
+    ASSERT_EQ(durable->algorithm(), "Sharded");
     RunResult got;
     got.reports.resize(script.size());
     for (size_t i = 0; i < cut; ++i) got.reports[i] = reference.reports[i];
@@ -506,8 +502,7 @@ TEST(PersistRecovery, CrossBackendAndShardCountRestore) {
       seq.num_threads = 0;
       auto durable_or = DurableEngine::Open(seq, Schema());
       ASSERT_TRUE(durable_or.ok()) << durable_or.status().ToString();
-      ASSERT_FALSE(durable_or.value()->sharded());
-      EXPECT_EQ(durable_or.value()->algorithm(), "SBottomUp");
+      ASSERT_EQ(durable_or.value()->algorithm(), "SBottomUp");
       ASSERT_TRUE(durable_or.value()->Checkpoint().ok());
     }
     options.num_shards = 5;
@@ -1036,7 +1031,7 @@ TEST(PersistRecovery, PagedShardedKillRestoreWalksDeltaChain) {
   auto durable_or = DurableEngine::Open(options, Schema());
   ASSERT_TRUE(durable_or.ok()) << durable_or.status().ToString();
   std::unique_ptr<DurableEngine> durable = std::move(durable_or).value();
-  ASSERT_TRUE(durable->sharded());
+  ASSERT_EQ(durable->algorithm(), "Sharded");
   EXPECT_GT(durable->recovery().delta_chain, 0u);
   for (size_t i = durable->next_seq(); i < script.size(); ++i) {
     ASSERT_TRUE(ApplyToDurable(durable.get(), script[i]).ok());

@@ -7,6 +7,7 @@
 // skycube state opts out of both snapshots and this comparison).
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -134,8 +135,15 @@ std::vector<ArrivalReport> RunSharded(const StreamCase& stream, int shards,
   // Batched so the differential also covers the pipelined AppendBatch path.
   std::vector<ArrivalReport> reports =
       engine.AppendBatch(std::span<const Row>(stream.data.rows()));
-  *arrivals = engine.stats().arrivals;
+  *arrivals = engine.discoverer().stats().arrivals;
   return reports;
+}
+
+/// Every (constraint, count) entry, zero counts included.
+std::map<Constraint, uint64_t> CounterEntries(const ContextCounter& counter) {
+  std::map<Constraint, uint64_t> out;
+  counter.ForEach([&out](const Constraint& c, uint64_t n) { out[c] = n; });
+  return out;
 }
 
 void ExpectSameRankedFact(const RankedFact& expected, const RankedFact& actual,
@@ -258,6 +266,8 @@ TEST(ShardedEquivalence, RemoveAndUpdateMatchSequentialEngines) {
         ExpectSameReport(expected.value(), actual.value(),
                          /*compare_ranked=*/true);
       }
+      // One logical counter: the shards read the engine's own.
+      ASSERT_EQ(CounterEntries(par.counter()), CounterEntries(seq.counter()));
       if (HasFatalFailure()) return;
     }
     // Error paths behave alike too.

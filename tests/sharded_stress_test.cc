@@ -115,8 +115,9 @@ TEST_P(ShardedStressTest, RandomizedOpInterleavings) {
   }
 
   // Identical store sizes (the satellite fix: aggregation over segments)...
-  EXPECT_EQ(par.StoredTupleCount(), seq.discoverer().StoredTupleCount());
-  EXPECT_GT(par.ApproxMemoryBytes(), 0u);
+  EXPECT_EQ(par.discoverer().StoredTupleCount(),
+            seq.discoverer().StoredTupleCount());
+  EXPECT_GT(par.discoverer().ApproxMemoryBytes(), 0u);
   // ...and bucket-exact Invariant 1 over the whole segmented store.
   SubspaceUniverse universe(cfg.num_measures, cfg.num_measures);
   VerifyInvariant1(par_rel, par.discoverer().mutable_store(), cfg.num_dims,
@@ -181,7 +182,7 @@ TEST(ShardedStress, FactFeedMultiProducerShardedBackend) {
   EXPECT_EQ(relation.size(), kProducers * per_producer);
   feed.Stop();
   // Single-writer discipline held throughout: arrivals == rows ingested.
-  EXPECT_EQ(engine.stats().arrivals, kProducers * per_producer);
+  EXPECT_EQ(engine.discoverer().stats().arrivals, kProducers * per_producer);
 }
 
 }  // namespace

@@ -123,6 +123,62 @@ fi
 
 expect wal-dump 0 "append" "$CLI" wal-dump --dir "$DSTORE" --limit 3
 
+# Sharded engine (--threads) through every CLI path that builds one, each
+# diffed against its sequential --algorithm SBottomUp twin: the engines
+# share one interface, so the outputs must match line for line.
+# differ <name> <file-a> <file-b>: passes when the files are identical.
+differ() {
+  if diff -q "$2" "$3" > /dev/null; then
+    echo "ok   $1"
+  else
+    echo "FAIL $1: $2 and $3 differ"
+    diff "$2" "$3" | head -10 | sed 's/^/  | /'
+    FAILURES=$((FAILURES + 1))
+  fi
+}
+NBA_FLAGS=(--dims player,season,team,opp_team
+           --measures points:+,rebounds:+,assists:+)
+
+# discover: everything but the summary's engine label.
+"$CLI" discover --csv "$CSV" "${NBA_FLAGS[@]}" --algorithm SBottomUp \
+  > "$WORKDIR/seq_discover.txt" 2>&1
+expect_file discover-sharded 0 "algorithm=Sharded, shards=3, threads=2" \
+  "$WORKDIR/par_discover.txt" \
+  "$CLI" discover --csv "$CSV" "${NBA_FLAGS[@]}" --threads 2 --shards 3
+sed 's/algorithm=[^)]*)/algorithm=)/' "$WORKDIR/seq_discover.txt" \
+  > "$WORKDIR/seq_discover.norm"
+sed 's/algorithm=[^)]*)/algorithm=)/' "$WORKDIR/par_discover.txt" \
+  > "$WORKDIR/par_discover.norm"
+differ discover-sharded-differential \
+  "$WORKDIR/seq_discover.norm" "$WORKDIR/par_discover.norm"
+
+# facts: the whole served page.
+"$CLI" facts --csv "$CSV" "${NBA_FLAGS[@]}" --algorithm SBottomUp \
+  --k 6 --page 3 --entity player > "$WORKDIR/seq_facts.txt" 2>&1
+expect_file facts-sharded 0 "facts indexed over 200 arrivals" \
+  "$WORKDIR/par_facts.txt" \
+  "$CLI" facts --csv "$CSV" "${NBA_FLAGS[@]}" --threads 2 \
+  --k 6 --page 3 --entity player
+differ facts-sharded-differential "$WORKDIR/seq_facts.txt" "$WORKDIR/par_facts.txt"
+
+# checkpoint: half the stream sharded, then the store reopened sequential
+# (the "Sharded" snapshot restores as SBottomUp) for the other half.
+PSTORE="$WORKDIR/durable_sharded"
+head -1 "$CSV" > "$WORKDIR/half2.csv"; sed -n '102,201p' "$CSV" >> "$WORKDIR/half2.csv"
+expect_file checkpoint-sharded 0 "checkpointed at seq 100 (Sharded" \
+  "$WORKDIR/p1.txt" \
+  "$CLI" checkpoint --dir "$PSTORE" --csv "$WORKDIR/part1.csv" \
+  "${NBA_FLAGS[@]}" --every 32 --threads 2
+expect_file checkpoint-reopen-sequential 0 "checkpointed at seq 200 (SBottomUp" \
+  "$WORKDIR/p2.txt" \
+  "$CLI" checkpoint --dir "$PSTORE" --csv "$WORKDIR/half2.csv" \
+  "${NBA_FLAGS[@]}" --every 32
+grep -h '^tuple \|^  ' "$WORKDIR/p1.txt" "$WORKDIR/p2.txt" \
+  > "$WORKDIR/sharded_durable_reports.txt"
+grep -h '^tuple \|^  ' "$WORKDIR/seq_discover.txt" > "$WORKDIR/seq_reports.txt"
+differ checkpoint-sharded-differential \
+  "$WORKDIR/seq_reports.txt" "$WORKDIR/sharded_durable_reports.txt"
+
 # FactService serving (docs/query_api.md): top-k with filter + pagination
 # over a fresh ingest, then the same store recovered from disk — the
 # recovered index must see the identical fact count.

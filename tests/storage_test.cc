@@ -761,44 +761,6 @@ TEST(ContextCounter, CountsEveryTupleSatisfiedConstraint) {
   EXPECT_EQ(counter.Count(unseen), 1u);
 }
 
-TEST(ContextCounter, MaskPartitionedCountsSumToTheSequentialCounts) {
-  Dataset data = PaperTableIV();
-  Relation r(data.schema());
-  ContextCounter whole(3);
-  // Shard the 8 masks of the d=3 lattice two ways (round-robin by parity).
-  std::vector<DimMask> even = {0b000, 0b010, 0b100, 0b110};
-  std::vector<DimMask> odd = {0b001, 0b011, 0b101, 0b111};
-  ContextCounter shard_even(3);
-  ContextCounter shard_odd(3);
-  for (const Row& row : data.rows()) {
-    TupleId t = r.Append(row);
-    whole.OnArrival(r, t);
-    shard_even.OnArrivalMasks(r, t, even);
-    shard_odd.OnArrivalMasks(r, t, odd);
-  }
-  auto check_all = [&] {
-    DimMask full = 0b111;
-    for (TupleId t = 0; t < r.size(); ++t) {
-      for (DimMask mask = 0; mask <= full; ++mask) {
-        Constraint c = Constraint::ForTuple(r, t, mask);
-        const ContextCounter& owner =
-            (mask % 2 == 0) ? shard_even : shard_odd;
-        const ContextCounter& other =
-            (mask % 2 == 0) ? shard_odd : shard_even;
-        EXPECT_EQ(owner.Count(c), whole.Count(c));
-        EXPECT_EQ(other.Count(c), 0u);
-      }
-    }
-  };
-  check_all();
-  // Removal stays partitioned the same way.
-  r.MarkDeleted(2);
-  whole.OnRemoval(r, 2);
-  shard_even.OnRemovalMasks(r, 2, even);
-  shard_odd.OnRemovalMasks(r, 2, odd);
-  check_all();
-}
-
 TEST(ContextCounter, HonorsMaxBound) {
   Dataset data = PaperTableIV();
   Relation r(data.schema());

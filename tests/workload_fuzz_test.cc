@@ -219,44 +219,17 @@ class EngineUnderTest {
   virtual const Relation& relation() const = 0;
 };
 
-class SequentialUnderTest : public EngineUnderTest {
+/// Either in-memory engine kind, through the one DiscoveryEngine interface.
+class InMemoryUnderTest : public EngineUnderTest {
  public:
-  SequentialUnderTest(double tau) : relation_(FuzzSchema()) {
-    auto disc_or =
-        DiscoveryEngine::CreateDiscoverer("STopDown", &relation_, {});
-    SITFACT_CHECK(disc_or.ok());
+  /// `num_shards` > 0 selects the sharded engine.
+  InMemoryUnderTest(double tau, int num_shards) : relation_(FuzzSchema()) {
     DiscoveryEngine::Config config;
     config.tau = tau;
-    engine_ = std::make_unique<DiscoveryEngine>(
-        &relation_, std::move(disc_or).value(), config);
-  }
-  ArrivalReport Append(const Row& row) override {
-    return engine_->Append(row);
-  }
-  std::vector<ArrivalReport> AppendBatch(std::span<const Row> rows) override {
-    std::vector<ArrivalReport> out;
-    for (const Row& row : rows) out.push_back(engine_->Append(row));
-    return out;
-  }
-  Status Remove(TupleId t) override { return engine_->Remove(t); }
-  StatusOr<ArrivalReport> Update(TupleId t, const Row& row) override {
-    return engine_->Update(t, row);
-  }
-  const Relation& relation() const override { return relation_; }
-
- private:
-  Relation relation_;
-  std::unique_ptr<DiscoveryEngine> engine_;
-};
-
-class ShardedUnderTest : public EngineUnderTest {
- public:
-  ShardedUnderTest(double tau) : relation_(FuzzSchema()) {
-    ShardedEngine::Config config;
-    config.num_shards = 3;
-    config.num_threads = 2;
-    config.tau = tau;
-    engine_ = std::make_unique<ShardedEngine>(&relation_, config);
+    auto engine_or = CreateEngine(&relation_, "STopDown", num_shards,
+                                  /*num_threads=*/2, config);
+    SITFACT_CHECK(engine_or.ok());
+    engine_ = std::move(engine_or).value();
   }
   ArrivalReport Append(const Row& row) override {
     return engine_->Append(row);
@@ -272,7 +245,7 @@ class ShardedUnderTest : public EngineUnderTest {
 
  private:
   Relation relation_;
-  std::unique_ptr<ShardedEngine> engine_;
+  std::unique_ptr<DiscoveryEngine> engine_;
 };
 
 class DurableUnderTest : public EngineUnderTest {
@@ -527,9 +500,11 @@ class WorkloadFuzzTest : public ::testing::TestWithParam<const char*> {
   std::unique_ptr<EngineUnderTest> MakeEngine(double tau, uint64_t seed) {
     const std::string kind = GetParam();
     if (kind == "sequential") {
-      return std::make_unique<SequentialUnderTest>(tau);
+      return std::make_unique<InMemoryUnderTest>(tau, /*num_shards=*/0);
     }
-    if (kind == "sharded") return std::make_unique<ShardedUnderTest>(tau);
+    if (kind == "sharded") {
+      return std::make_unique<InMemoryUnderTest>(tau, /*num_shards=*/3);
+    }
     if (!dir_.empty()) std::filesystem::remove_all(dir_);  // previous seed
     dir_ = (std::filesystem::temp_directory_path() /
             ("sitfact_fuzz_" + std::to_string(::getpid()) + "_" +

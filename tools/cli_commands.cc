@@ -19,10 +19,10 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "core/narrator.h"
-#include "exec/sharded_engine.h"
 #include "datagen/nba_generator.h"
 #include "datagen/stock_generator.h"
 #include "datagen/weather_generator.h"
+#include "exec/sharded_engine.h"
 #include "io/csv_table.h"
 #include "io/snapshot.h"
 #include "persist/durable_engine.h"
@@ -334,64 +334,52 @@ bool MakeNarrator(const Args& args, const Dataset& data, Relation* relation,
   return true;
 }
 
-/// `discover --threads N`: the sharded parallel engine. Same per-arrival
-/// output as the sequential path (the engines are differentially tested for
-/// equality); rows are fed in batches so discovery of arrival i+1 overlaps
-/// the merge of arrival i.
-int RunDiscoverSharded(const Args& args, const Dataset& data,
-                       const DiscoveryOptions& options) {
+/// --algorithm / --threads / --shards: the engine a command builds. Any
+/// explicit --threads/--shards selects the sharded engine, which validates
+/// them here (so `--threads 0` errors instead of silently running the
+/// sequential engine); --shards defaults to 2*threads.
+struct EngineShape {
+  std::string algorithm;
+  int num_shards = 0;  // 0: sequential
+  int num_threads = 0;
+};
+
+StatusOr<EngineShape> EngineShapeFromFlags(const Args& args) {
+  EngineShape shape;
+  shape.algorithm = args.Get("algorithm", "STopDown");
+  if (!args.Has("threads") && !args.Has("shards")) return shape;
   if (args.Has("algorithm")) {
-    return PrintUsage(
+    return Status::InvalidArgument(
         "--algorithm does not combine with --threads/--shards (the sharded "
         "engine is its own algorithm)");
   }
-  const int threads = args.GetInt("threads", 1);
-  if (threads < 1) return PrintUsage("--threads must be >= 1");
-  const int shards = args.GetInt("shards", threads > 1 ? 2 * threads : 4);
-  if (shards < 1 || shards > ShardedDiscoverer::kMaxShards) {
-    return PrintUsage("--shards must be in [1, " +
-                      std::to_string(ShardedDiscoverer::kMaxShards) + "]");
+  shape.num_threads = args.GetInt("threads", 1);
+  if (shape.num_threads < 1) {
+    return Status::InvalidArgument("--threads must be >= 1");
   }
+  shape.num_shards =
+      args.GetInt("shards", shape.num_threads > 1 ? 2 * shape.num_threads : 4);
+  if (shape.num_shards < 1 ||
+      shape.num_shards > ShardedDiscoverer::kMaxShards) {
+    return Status::InvalidArgument(
+        "--shards must be in [1, " +
+        std::to_string(ShardedDiscoverer::kMaxShards) + "]");
+  }
+  return shape;
+}
 
-  Relation relation(data.schema());
-  ShardedEngine::Config config;
-  config.num_shards = shards;
-  config.num_threads = threads;
+/// Builds the engine named by the shape flags over `relation`; `tag` names
+/// the temp bucket directory of the file-backed FS* algorithms.
+StatusOr<std::unique_ptr<DiscoveryEngine>> EngineFromFlags(
+    const Args& args, const EngineShape& shape, Relation* relation,
+    const DiscoveryOptions& options, const std::string& tag) {
+  DiscoveryEngine::Config config;
   config.options = options;
   config.tau = args.GetDouble("tau", 2.0);
-  ShardedEngine engine(&relation, config);
-
-  std::unique_ptr<FactNarrator> narrator;
-  if (!MakeNarrator(args, data, &relation, &narrator)) {
-    return PrintUsage("--entity names no dimension");
-  }
-  DiscoverPrinter printer(narrator.get(), args.GetInt("top", 3),
-                          args.Has("quiet"));
-
-  constexpr size_t kBatch = 256;
-  const std::vector<Row>& rows = data.rows();
-  for (size_t begin = 0; begin < rows.size(); begin += kBatch) {
-    size_t count = std::min(kBatch, rows.size() - begin);
-    for (const ArrivalReport& report : engine.AppendBatch(
-             std::span<const Row>(rows.data() + begin, count))) {
-      printer.OnReport(report);
-    }
-  }
-  printer.PrintSummary(
-      rows.size(), config.tau,
-      "Sharded, shards=" +
-          std::to_string(engine.discoverer().num_shards()) +
-          ", threads=" + std::to_string(engine.discoverer().num_threads()));
-
-  if (args.Has("save-snapshot")) {
-    Status st = SaveEngineSnapshot(engine, args.Get("save-snapshot"));
-    if (!st.ok()) {
-      std::fprintf(stderr, "snapshot failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("snapshot saved to %s\n", args.Get("save-snapshot").c_str());
-  }
-  return 0;
+  std::string store_dir;
+  if (shape.algorithm.rfind("FS", 0) == 0) store_dir = TempStoreDir(tag);
+  return CreateEngine(relation, shape.algorithm, shape.num_shards,
+                      shape.num_threads, config, store_dir);
 }
 
 }  // namespace
@@ -407,28 +395,15 @@ int RunDiscover(const Args& args) {
   if (Status st = ApplyStorageFlags(args, &options.storage); !st.ok()) {
     return PrintUsage(st.message());
   }
-
-  // Any explicit --threads/--shards goes to the sharded path, which owns
-  // their validation (so `--threads 0` errors instead of silently running
-  // the sequential engine).
-  if (args.Has("threads") || args.Has("shards")) {
-    return RunDiscoverSharded(args, data, options);
-  }
-
-  const std::string algorithm = args.Get("algorithm", "STopDown");
+  auto shape_or = EngineShapeFromFlags(args);
+  if (!shape_or.ok()) return PrintUsage(shape_or.status().message());
+  const EngineShape& shape = shape_or.value();
 
   Relation relation(data.schema());
-  std::string store_dir;
-  if (algorithm.rfind("FS", 0) == 0) store_dir = TempStoreDir("discover");
-  auto disc_or = DiscoveryEngine::CreateDiscoverer(algorithm, &relation,
-                                                   options, store_dir);
-  if (!disc_or.ok()) return PrintUsage(disc_or.status().ToString());
-
-  DiscoveryEngine::Config config;
-  config.options = options;
-  config.tau = args.GetDouble("tau", 2.0);
-  config.rank_facts = disc_or.value()->store() != nullptr;
-  DiscoveryEngine engine(&relation, std::move(disc_or).value(), config);
+  auto engine_or =
+      EngineFromFlags(args, shape, &relation, options, "discover");
+  if (!engine_or.ok()) return PrintUsage(engine_or.status().ToString());
+  DiscoveryEngine& engine = *engine_or.value();
 
   std::unique_ptr<FactNarrator> narrator;
   if (!MakeNarrator(args, data, &relation, &narrator)) {
@@ -436,15 +411,29 @@ int RunDiscover(const Args& args) {
   }
   DiscoverPrinter printer(narrator.get(), args.GetInt("top", 3),
                           args.Has("quiet"));
-  for (const Row& row : data.rows()) {
-    printer.OnReport(engine.Append(row));
+  // Batched so a sharded engine overlaps discovery of arrival i+1 with the
+  // merge of arrival i; the sequential engine appends row by row.
+  constexpr size_t kBatch = 256;
+  const std::vector<Row>& rows = data.rows();
+  for (size_t begin = 0; begin < rows.size(); begin += kBatch) {
+    size_t count = std::min(kBatch, rows.size() - begin);
+    for (const ArrivalReport& report : engine.AppendBatch(
+             std::span<const Row>(rows.data() + begin, count))) {
+      printer.OnReport(report);
+    }
   }
-  printer.PrintSummary(data.rows().size(), config.tau, algorithm);
-  if (!config.rank_facts) {
+  std::string label = shape.algorithm;
+  if (auto* sharded = dynamic_cast<ShardedEngine*>(&engine)) {
+    label = "Sharded, shards=" +
+            std::to_string(sharded->discoverer().num_shards()) +
+            ", threads=" + std::to_string(sharded->discoverer().num_threads());
+  }
+  printer.PrintSummary(rows.size(), engine.config().tau, label);
+  if (!engine.config().rank_facts) {
     std::printf(
         "note: %s keeps no µ-store, so prominence ranking is unavailable; "
         "facts were discovered but not ranked\n",
-        algorithm.c_str());
+        label.c_str());
   }
 
   if (args.Has("save-snapshot")) {
@@ -570,11 +559,15 @@ namespace {
 
 /// Durability knobs shared by checkpoint and restore.
 StatusOr<persist::DurableOptions> DurableOptionsFromFlags(const Args& args) {
+  auto shape_or = EngineShapeFromFlags(args);
+  if (!shape_or.ok()) return shape_or.status();
   persist::DurableOptions opts;
   opts.dir = args.Get("dir");
   opts.checkpoint_every = static_cast<uint64_t>(args.GetInt("every", 0));
   opts.sync_every_op = args.Has("sync");
-  opts.algorithm = args.Get("algorithm", "STopDown");
+  opts.algorithm = shape_or.value().algorithm;
+  opts.num_shards = shape_or.value().num_shards;
+  opts.num_threads = shape_or.value().num_threads;
   opts.discovery.max_bound_dims = args.GetInt("dhat", -1);
   opts.discovery.max_measure_dims = args.GetInt("mhat", -1);
   if (Status st = ApplyStorageFlags(args, &opts.discovery.storage);
@@ -587,11 +580,6 @@ StatusOr<persist::DurableOptions> DurableOptionsFromFlags(const Args& args) {
     opts.full_snapshot_every = args.GetInt("full-every", 8);
   }
   if (args.Has("no-delta")) opts.delta_checkpoints = false;
-  if (args.Has("threads") || args.Has("shards")) {
-    const int threads = args.GetInt("threads", 1);
-    opts.num_threads = threads;
-    opts.num_shards = args.GetInt("shards", threads > 1 ? 2 * threads : 4);
-  }
   // file_store_dir is left empty: DurableEngine defaults it to
   // <dir>/fs_store so FS-algorithm stores are self-contained.
   return opts;
@@ -618,10 +606,7 @@ int StreamIntoDurable(const Args& args, persist::DurableEngine* durable,
     }
     printer.OnReport(report_or.value());
   }
-  const double tau = durable->engine() != nullptr
-                         ? durable->engine()->config().tau
-                         : durable->sharded_engine()->config().tau;
-  printer.PrintSummary(data.rows().size(), tau,
+  printer.PrintSummary(data.rows().size(), durable->engine()->config().tau,
                        durable->algorithm() + " (durable)");
   return 0;
 }
@@ -784,7 +769,8 @@ int RunFacts(const Args& args) {
   if (Status st = ApplyStorageFlags(args, &options.storage); !st.ok()) {
     return PrintUsage(st.message());
   }
-  const double tau = args.GetDouble("tau", 2.0);
+  auto shape_or = EngineShapeFromFlags(args);
+  if (!shape_or.ok()) return PrintUsage(shape_or.status().message());
 
   Relation relation(data.schema());
 
@@ -804,71 +790,33 @@ int RunFacts(const Args& args) {
   }
   FactService service(&relation, service_options);
 
-  // Engine: sequential by default, sharded with --threads/--shards (same
-  // rules as discover).
-  std::unique_ptr<DiscoveryEngine> engine;
-  std::unique_ptr<ShardedEngine> sharded;
-  if (args.Has("threads") || args.Has("shards")) {
-    if (args.Has("algorithm")) {
-      return PrintUsage(
-          "--algorithm does not combine with --threads/--shards (the "
-          "sharded engine is its own algorithm)");
-    }
-    const int threads = args.GetInt("threads", 1);
-    if (threads < 1) return PrintUsage("--threads must be >= 1");
-    const int shards = args.GetInt("shards", threads > 1 ? 2 * threads : 4);
-    if (shards < 1 || shards > ShardedDiscoverer::kMaxShards) {
-      return PrintUsage("--shards must be in [1, " +
-                        std::to_string(ShardedDiscoverer::kMaxShards) + "]");
-    }
-    ShardedEngine::Config config;
-    config.num_shards = shards;
-    config.num_threads = threads;
-    config.options = options;
-    config.tau = tau;
-    sharded = std::make_unique<ShardedEngine>(&relation, config);
-  } else {
-    const std::string algorithm = args.Get("algorithm", "STopDown");
-    std::string store_dir;
-    if (algorithm.rfind("FS", 0) == 0) store_dir = TempStoreDir("facts");
-    auto disc_or = DiscoveryEngine::CreateDiscoverer(algorithm, &relation,
-                                                     options, store_dir);
-    if (!disc_or.ok()) return PrintUsage(disc_or.status().ToString());
-    if (disc_or.value()->store() == nullptr) {
-      return PrintUsage(algorithm +
-                        " keeps no µ-store, so prominence-ranked serving is "
-                        "unavailable; pick a BottomUp/TopDown family "
-                        "algorithm");
-    }
-    DiscoveryEngine::Config config;
-    config.options = options;
-    config.tau = tau;
-    engine = std::make_unique<DiscoveryEngine>(&relation,
-                                               std::move(disc_or).value(),
-                                               config);
+  auto engine_or = EngineFromFlags(args, shape_or.value(), &relation,
+                                   options, "facts");
+  if (!engine_or.ok()) return PrintUsage(engine_or.status().ToString());
+  std::unique_ptr<DiscoveryEngine> engine = std::move(engine_or).value();
+  if (!engine->config().rank_facts) {
+    return PrintUsage(shape_or.value().algorithm +
+                      " keeps no µ-store, so prominence-ranked serving is "
+                      "unavailable; pick a BottomUp/TopDown family "
+                      "algorithm");
   }
 
   FactFeed::Options feed_options;
   feed_options.fact_service = &service;
-  std::unique_ptr<FactFeed> feed;
-  if (sharded != nullptr) {
-    feed = std::make_unique<FactFeed>(sharded.get(), nullptr, feed_options);
-  } else {
-    feed = std::make_unique<FactFeed>(engine.get(), nullptr, feed_options);
-  }
+  FactFeed feed(engine.get(), nullptr, feed_options);
 
   // Producer pushes the CSV; with --watch the main thread plays dashboard,
   // querying the service while ingestion runs (the whole point of the
   // snapshot design: the queries never block the stream).
   std::thread producer([&] {
     for (const Row& row : data.rows()) {
-      if (!feed->Publish(row)) break;
+      if (!feed.Publish(row)) break;
     }
   });
   if (args.Has("watch")) {
     const int poll_ms = args.GetInt("poll-ms", 100);
-    while (feed->processed() < data.rows().size()) {
-      FactService::Snapshot snap = feed->Query();
+    while (feed.processed() < data.rows().size()) {
+      FactService::Snapshot snap = feed.Query();
       std::string headline = "(no facts yet)";
       FactService::Page top = snap.TopK(1);
       if (!top.facts.empty()) headline = snap.Explain(top.facts[0]);
@@ -881,8 +829,8 @@ int RunFacts(const Args& args) {
     }
   }
   producer.join();
-  feed->Drain();
-  feed->Stop();
+  feed.Drain();
+  feed.Stop();
 
   auto flags_or = ParseFactsFlags(args, relation);
   if (!flags_or.ok()) return PrintUsage(flags_or.status().message());
@@ -924,22 +872,17 @@ int RunServe(const Args& args) {
   }
   FactService service(&relation, service_options);
 
-  const std::string algorithm = args.Get("algorithm", "STopDown");
-  std::string store_dir;
-  if (algorithm.rfind("FS", 0) == 0) store_dir = TempStoreDir("serve");
-  auto disc_or = DiscoveryEngine::CreateDiscoverer(algorithm, &relation,
-                                                   options, store_dir);
-  if (!disc_or.ok()) return PrintUsage(disc_or.status().ToString());
-  if (disc_or.value()->store() == nullptr) {
-    return PrintUsage(algorithm +
+  EngineShape shape;  // serve runs the sequential engine
+  shape.algorithm = args.Get("algorithm", "STopDown");
+  auto engine_or = EngineFromFlags(args, shape, &relation, options, "serve");
+  if (!engine_or.ok()) return PrintUsage(engine_or.status().ToString());
+  DiscoveryEngine& engine = *engine_or.value();
+  if (!engine.config().rank_facts) {
+    return PrintUsage(shape.algorithm +
                       " keeps no µ-store, so prominence-ranked serving is "
                       "unavailable; pick a BottomUp/TopDown family "
                       "algorithm");
   }
-  DiscoveryEngine::Config config;
-  config.options = options;
-  config.tau = args.GetDouble("tau", 2.0);
-  DiscoveryEngine engine(&relation, std::move(disc_or).value(), config);
 
   // Ingest through the same FactFeed path as `facts`, so a server over a
   // CSV lands on the same epoch as the in-process query — the smoke test
@@ -1018,12 +961,6 @@ int RunServe(const Args& args) {
 
 int RunCheckpoint(const Args& args) {
   if (!args.Has("dir")) return PrintUsage("--dir is required");
-  if (args.Has("algorithm") && (args.Has("threads") || args.Has("shards"))) {
-    // Same rule as discover: the sharded engine is its own algorithm.
-    return PrintUsage(
-        "--algorithm does not combine with --threads/--shards (the sharded "
-        "engine is its own algorithm)");
-  }
   auto opts_or = DurableOptionsFromFlags(args);
   if (!opts_or.ok()) return PrintUsage(opts_or.status().message());
   persist::DurableOptions opts = std::move(opts_or).value();
