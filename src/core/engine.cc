@@ -102,16 +102,18 @@ DiscoveryEngine::DiscoveryEngine(Relation* relation,
     SITFACT_CHECK_MSG(discoverer_->store() != nullptr,
                       "prominence ranking needs a µ-store algorithm");
   }
-  // The skyband shadow rides along from the first arrival when the store
-  // notifies (memory and paged stores); attaching before any restore keeps it
-  // coherent through DeserializeBuckets, which writes through the observed
-  // Context API. File-backed stores never notify — a live engine over one
-  // serves prominence from the store as before.
+  // The skyband shadow rides along from the first arrival when it has a
+  // reader: only Invariant-2 ranking unions ancestor buckets, and only a
+  // notifying store (memory, paged) keeps it coherent. Attaching before any
+  // restore keeps it coherent through DeserializeBuckets, which writes
+  // through the observed Context API.
   MuStore* store = discoverer_->mutable_store();
   if (config_.rank_facts && store != nullptr && store->NotifiesObservers() &&
+      discoverer_->storage_policy() ==
+          StoragePolicy::kMaximalSkylineConstraints &&
       SkybandIndexEnabledFromEnv()) {
     skyband_ = std::make_unique<SkybandIndex>();
-    skyband_->Attach(store, discoverer_->storage_policy());
+    skyband_->Attach(store);
   }
 }
 
@@ -120,11 +122,18 @@ ArrivalReport DiscoveryEngine::Append(const Row& row) {
   return DiscoverLast();
 }
 
+void DiscoveryEngine::AppendBatch(std::span<const Row> rows,
+                                  const ReportSink& sink) {
+  for (const Row& row : rows) sink(Append(row));
+}
+
 std::vector<ArrivalReport> DiscoveryEngine::AppendBatch(
     std::span<const Row> rows) {
   std::vector<ArrivalReport> reports;
   reports.reserve(rows.size());
-  for (const Row& row : rows) reports.push_back(Append(row));
+  AppendBatch(rows, [&reports](ArrivalReport&& report) {
+    reports.push_back(std::move(report));
+  });
   return reports;
 }
 

@@ -1,6 +1,7 @@
 #ifndef SITFACT_CORE_ENGINE_H_
 #define SITFACT_CORE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -63,10 +64,21 @@ class DiscoveryEngine {
   /// Appends `row` and discovers its facts.
   ArrivalReport Append(const Row& row);
 
-  /// Streams `rows` through the engine: one report per row, in order, each
-  /// identical to what Append would have returned. The default is a loop of
-  /// Append; the sharded engine pipelines it.
-  virtual std::vector<ArrivalReport> AppendBatch(std::span<const Row> rows);
+  /// Receives the reports of an AppendBatch, one call per row, in arrival
+  /// order, on the caller's thread and with no engine work in flight: the
+  /// sink may read the engine (its relation, counters, store statistics).
+  using ReportSink = std::function<void(ArrivalReport&&)>;
+
+  /// Streams `rows` through the engine, handing `sink` one report per row,
+  /// each identical to what Append would have returned. The default calls
+  /// the sink right after each Append, before the next row is appended, so
+  /// what the sink reads describes exactly the arrivals it has seen. The
+  /// sharded engine pipelines the batch and delivers the merged reports once
+  /// it has joined.
+  virtual void AppendBatch(std::span<const Row> rows, const ReportSink& sink);
+
+  /// AppendBatch collected into a vector.
+  std::vector<ArrivalReport> AppendBatch(std::span<const Row> rows);
 
   /// Runs discovery for a tuple already appended to the relation (it must be
   /// the most recent one).
@@ -91,12 +103,13 @@ class DiscoveryEngine {
   Discoverer& discoverer() { return *discoverer_; }
 
   /// The µ-side skyband shadow: attached when ranking is on, the algorithm
-  /// keeps a notifying (in-memory) store, and SITFACT_SKYBAND_INDEX is not
-  /// "off". Null otherwise (baselines, file stores, escape hatch) — every
-  /// consumer falls back to store reads. The sequential engine serves
-  /// prominence denominators from it when present; the sharded engine's
-  /// shards read their own segments, and the index follows the segmented
-  /// store for other consumers.
+  /// stores under Invariant 2 (TopDown, STopDown) in a notifying store
+  /// (memory or paged), and SITFACT_SKYBAND_INDEX is not "off". There it
+  /// turns the ancestor-union walk behind each prominence denominator into
+  /// in-memory band reads. Null otherwise: under Invariant 1 (the BottomUp
+  /// family and the sharded engine) a µ bucket already is the contextual
+  /// skyline, so ranking reads its size from the store; baselines, file
+  /// stores and the escape hatch rank from store reads as well.
   const SkybandIndex* skyband_index() const { return skyband_.get(); }
 
   const ContextCounter& counter() const { return counter_; }

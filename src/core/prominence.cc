@@ -15,13 +15,11 @@ ProminenceEvaluator::ProminenceEvaluator(const Relation* relation,
 uint64_t ProminenceEvaluator::SkylineSize(const SkylineFact& fact) {
   const Constraint& c = fact.constraint;
   MeasureMask m = fact.subspace;
-  if (skyband_ != nullptr) {
-    return skyband_->SkylineSizeFor(*relation_, c, m);
-  }
   if (policy_ == StoragePolicy::kAllSkylineConstraints) {
     MuStore::Context* ctx = store_->Find(c);
     return ctx == nullptr ? 0 : ctx->Size(m);
   }
+  if (skyband_ != nullptr) return skyband_->UnionSkylineSize(*relation_, c, m);
   // Invariant 2: λ_M(σ_C(R)) = tuples satisfying C that are stored at some
   // ancestor-or-self of C. A tuple may sit at two incomparable maximal
   // constraints that both subsume C, so the union deduplicates.

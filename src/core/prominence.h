@@ -24,11 +24,11 @@ class ProminenceEvaluator {
   ProminenceEvaluator(const Relation* relation, const ContextCounter* counter,
                       MuStore* store, StoragePolicy policy);
 
-  /// Routes SkylineSize through an attached skyband index instead of the
-  /// store: the same numbers (the index shadows every bucket mutation)
-  /// without bucket reads — under Invariant 2 the whole ancestor-union walk
-  /// runs on in-memory bands. A null index leaves the store path in place,
-  /// so callers can pass whatever the engine holds unconditionally.
+  /// Routes the Invariant-2 ancestor-union walk through an attached skyband
+  /// index instead of the store: the same numbers (the index shadows every
+  /// bucket mutation) without bucket reads. A null index leaves the store
+  /// path in place, so callers can pass whatever the engine holds
+  /// unconditionally; Invariant 1 reads one bucket size either way.
   void set_skyband(const SkybandIndex* index) { skyband_ = index; }
 
   /// Ranks one fact of the latest arrival (the arrival must already be

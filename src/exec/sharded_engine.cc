@@ -33,10 +33,10 @@ ArrivalReport ShardedEngine::DiscoverLast() {
   return MergeReport(t, /*slot=*/0);
 }
 
-std::vector<ArrivalReport> ShardedEngine::AppendBatch(
-    std::span<const Row> rows) {
+void ShardedEngine::AppendBatch(std::span<const Row> rows,
+                                const ReportSink& sink) {
+  if (rows.empty()) return;
   std::vector<ArrivalReport> reports;
-  if (rows.empty()) return reports;
   reports.reserve(rows.size());
 
   // Software pipeline: while the shards run arrival i+1, the caller merges
@@ -55,7 +55,7 @@ std::vector<ArrivalReport> ShardedEngine::AppendBatch(
     }
     reports.push_back(MergeReport(merged_tuple, merged_slot));
   }
-  return reports;
+  for (ArrivalReport& report : reports) sink(std::move(report));
 }
 
 ArrivalReport ShardedEngine::MergeReport(TupleId t, int slot) {
@@ -70,16 +70,16 @@ ArrivalReport ShardedEngine::MergeReport(TupleId t, int slot) {
   }
   CanonicalizeFacts(&report.facts);
   if (config().rank_facts) {
-    // Reproduce ProminenceEvaluator::RankAll's order exactly: canonical fact
-    // order first, then a stable sort descending by prominence.
+    // Reproduce ProminenceEvaluator::RankAll's order exactly (a stable sort
+    // descending by prominence over canonical fact order): facts are
+    // unique, so one sort on (prominence desc, fact asc) yields it.
     std::sort(report.ranked.begin(), report.ranked.end(),
               [](const RankedFact& a, const RankedFact& b) {
+                if (a.prominence != b.prominence) {
+                  return a.prominence > b.prominence;
+                }
                 return a.fact < b.fact;
               });
-    std::stable_sort(report.ranked.begin(), report.ranked.end(),
-                     [](const RankedFact& a, const RankedFact& b) {
-                       return a.prominence > b.prominence;
-                     });
     report.prominent = SelectProminent(report.ranked, config().tau);
   }
   return report;

@@ -22,10 +22,10 @@ namespace sitfact {
 ///
 /// Everything but DiscoverLast and AppendBatch is the base engine's:
 /// removal, update, the one context counter (the shards read it; it is
-/// written only on the caller thread, between arrivals), the skyband shadow
-/// over the segmented store, and SerializeState under the algorithm name
-/// "Sharded". Like every engine here it is single-writer; all parallelism is
-/// internal.
+/// written only on the caller thread, between arrivals), and SerializeState
+/// under the algorithm name "Sharded". It keeps no skyband shadow: the
+/// shards rank under Invariant 1 from their own segments. Like every engine
+/// here it is single-writer; all parallelism is internal.
 class ShardedEngine : public DiscoveryEngine {
  public:
   struct Config : DiscoveryEngine::Config {
@@ -44,8 +44,12 @@ class ShardedEngine : public DiscoveryEngine {
   ArrivalReport DiscoverLast() override;
 
   /// Pipelines each arrival's append+discovery+ranking with the previous
-  /// arrival's report merge.
-  std::vector<ArrivalReport> AppendBatch(std::span<const Row> rows) override;
+  /// arrival's report merge, then hands the merged reports to `sink` once
+  /// the batch has joined. A sink reading engine counters therefore sees the
+  /// whole batch at every report; sharded counters depend on timing anyway.
+  using DiscoveryEngine::AppendBatch;
+  void AppendBatch(std::span<const Row> rows,
+                   const ReportSink& sink) override;
 
   ShardedDiscoverer& discoverer() { return *sharded_; }
 

@@ -176,8 +176,7 @@ HttpResponse FactServer::HandleQuery(QueryKind kind,
     ++stats->errors;
     return ErrorResponse(HttpStatusFor(response.status()), response.status());
   }
-  if (snapshot.skyband_enabled() &&
-      (kind == QueryKind::kTopK || kind == QueryKind::kAbout)) {
+  if (kind == QueryKind::kTopK || kind == QueryKind::kAbout) {
     ++stats->skyband_hits;
   }
   std::string body = SerializeResponse(response.value());
@@ -271,7 +270,6 @@ HttpResponse FactServer::StatzResponse() const {
   obj.Set("epoch", JsonValue::Number(snap.epoch()));
 
   JsonValue skyband = JsonValue::Object();
-  skyband.Set("enabled", JsonValue::Bool(snap.skyband_enabled()));
   skyband.Set("band_inserts",
               JsonValue::Number(snap.skyband_stats().band_inserts));
   skyband.Set("shifted_records",

@@ -25,6 +25,11 @@ constexpr char kWalSuffix[] = ".sfwal";
 constexpr char kDeltaPrefix[] = "delta-";
 constexpr char kDeltaSuffix[] = ".sfdelta";
 
+/// Full snapshots a checkpoint retains: the newest plus one fallback should
+/// it turn out corrupt. A pruned full takes its delta chain and the WAL
+/// segments its ops live in along.
+constexpr size_t kKeepSnapshots = 2;
+
 /// Delta checkpoint file (docs/persistence.md "Delta checkpoints"):
 ///   "SFDELTA1"  magic, 8 bytes
 ///   u32         format version (1)
@@ -192,9 +197,6 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(
     const DurableOptions& options, const Schema& schema) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("DurableOptions::dir is required");
-  }
-  if (options.keep_snapshots < 1) {
-    return Status::InvalidArgument("keep_snapshots must be >= 1");
   }
   std::error_code ec;
   fs::create_directories(options.dir, ec);
@@ -775,7 +777,7 @@ Status DurableEngine::CheckpointFull(uint64_t seq) {
   deltas_since_full_ = 0;
   if (MuStore* store = mu_store(); store != nullptr) store->ClearDirty();
 
-  // Prune. Snapshots: keep the newest keep_snapshots full ones. Deltas
+  // Prune. Snapshots: keep the newest kKeepSnapshots full ones. Deltas
   // chain off a full snapshot, so a delta older than the oldest retained
   // full belongs to a pruned base and goes with it (a chain's links are
   // always younger than their base and older than the next full). WAL
@@ -785,9 +787,8 @@ Status DurableEngine::CheckpointFull(uint64_t seq) {
   std::vector<StoreFile> snapshots =
       ListSeqFiles(options_.dir, kSnapshotPrefix, kSnapshotSuffix);
   uint64_t oldest_kept = seq;
-  if (snapshots.size() > static_cast<size_t>(options_.keep_snapshots)) {
-    const size_t drop = snapshots.size() -
-                        static_cast<size_t>(options_.keep_snapshots);
+  if (snapshots.size() > kKeepSnapshots) {
+    const size_t drop = snapshots.size() - kKeepSnapshots;
     for (size_t i = 0; i < drop; ++i) {
       std::error_code ignored;
       fs::remove(snapshots[i].path, ignored);

@@ -33,11 +33,6 @@ struct DurableOptions {
   /// written back.
   bool sync_every_op = false;
 
-  /// Snapshots retained after a checkpoint (≥ 1). With delta checkpoints
-  /// this counts FULL snapshots; a pruned full snapshot takes its delta
-  /// chain and the WAL files its ops live in along.
-  int keep_snapshots = 2;
-
   /// Checkpoint as bucket-granular deltas (delta-<seq>.sfdelta) chained off
   /// the last full snapshot whenever the backend can — the algorithm's µ
   /// store tracks dirty buckets (memory/paged/segmented stores) and the

@@ -83,87 +83,12 @@ const BandVec* FactIndexSnapshot::SubspaceList(MeasureMask mask) const {
 TopKResult FactIndexSnapshot::TopK(size_t k, const FactFilter& filter,
                                    const std::optional<TopKCursor>& cursor)
     const {
+  // Every source list is in TopK order, so the page is the first k matches
+  // in scan order (no candidate sort) and the scan stops at the first match
+  // past the page. `next` is set when a (k+1)-th match exists, or when k
+  // matches are in hand and lower buckets are still unvisited.
   TopKResult result;
   if (k == 0) return result;
-  if (skyband_) return TopKOrdered(k, filter, cursor);
-
-  std::vector<uint32_t> candidates;
-  bool stopped_early = false;
-  if (filter.bound_mask.has_value() || filter.subspace.has_value()) {
-    // Shape-pinned filters scan their secondary index instead of the
-    // prominence buckets: the list holds exactly the records of that
-    // constraint shape / measure subspace, typically a small fraction of
-    // the index. A mask the index never saw has no list — zero matches.
-    const BandVec* source = filter.bound_mask.has_value()
-                                ? BoundList(*filter.bound_mask)
-                                : SubspaceList(*filter.subspace);
-    if (source != nullptr) {
-      for (BandVec::Iterator it = source->begin(); !it.AtEnd(); it.Next()) {
-        const uint32_t id = *it;
-        const FactRecord& rec = records_[id];
-        if (cursor.has_value() &&
-            !TopKBefore(cursor->prominence, cursor->record_id,
-                        rec.prominence, id)) {
-          continue;
-        }
-        if (filter.Matches(rec)) candidates.push_back(id);
-      }
-    }
-  } else {
-    // Gather filtered candidates bucket by bucket, best bucket first. Any
-    // record in bucket b outranks every record in buckets < b, so once a
-    // finished bucket leaves us with >= k candidates the rest cannot
-    // improve the page. A cursor also bounds the walk from above: buckets
-    // past the cursor's hold only records with strictly greater prominence,
-    // which are all at-or-before the cursor position.
-    const int start = cursor.has_value()
-                          ? ProminenceBucket(cursor->prominence)
-                          : kProminenceBuckets - 1;
-    for (int b = start; b >= 0; --b) {
-      const BandVec& bucket = by_prominence_[b];
-      for (BandVec::Iterator it = bucket.begin(); !it.AtEnd(); it.Next()) {
-        const uint32_t id = *it;
-        const FactRecord& rec = records_[id];
-        if (cursor.has_value() &&
-            !TopKBefore(cursor->prominence, cursor->record_id,
-                        rec.prominence, id)) {
-          continue;  // at or before the cursor position; already served
-        }
-        if (filter.Matches(rec)) candidates.push_back(id);
-      }
-      if (candidates.size() >= k && b > 0) {
-        stopped_early = true;
-        break;
-      }
-    }
-  }
-
-  std::sort(candidates.begin(), candidates.end(),
-            [this](uint32_t a, uint32_t b) {
-              return TopKBefore(records_[a].prominence, a,
-                                records_[b].prominence, b);
-            });
-  const size_t take = std::min(k, candidates.size());
-  result.record_ids.assign(candidates.begin(), candidates.begin() + take);
-  if (take > 0 && (candidates.size() > take || stopped_early)) {
-    const uint32_t last = result.record_ids.back();
-    result.next = TopKCursor{records_[last].prominence, last};
-  }
-  return result;
-}
-
-TopKResult FactIndexSnapshot::TopKOrdered(
-    size_t k, const FactFilter& filter,
-    const std::optional<TopKCursor>& cursor) const {
-  // The skyband fast path: every source list is already in TopK order, so
-  // the page is the first k matches in scan order — no candidate sort — and
-  // the scan stops at the first match past the page. Byte-identical to the
-  // legacy path, including the `next` decision:
-  //  * a (k+1)-th match anywhere (same bucket / pinned list) sets `next`,
-  //    exactly like legacy's candidates.size() > take;
-  //  * k matches in hand with lower buckets still unvisited sets `next`,
-  //    exactly like legacy's stopped_early (which fired only for b > 0).
-  TopKResult result;
 
   // First position of `list` strictly after the cursor. Entries sort by
   // TopKBefore, so the predicate is monotone for any cursor value.
@@ -193,6 +118,9 @@ TopKResult FactIndexSnapshot::TopKOrdered(
   };
 
   if (filter.bound_mask.has_value() || filter.subspace.has_value()) {
+    // Shape-pinned filters scan their secondary list instead of the
+    // prominence buckets: it holds exactly the records of that constraint
+    // shape / measure subspace. A mask the index never saw has no list.
     const BandVec* source = filter.bound_mask.has_value()
                                 ? BoundList(*filter.bound_mask)
                                 : SubspaceList(*filter.subspace);
@@ -278,7 +206,6 @@ FactIndex::FactIndex(const Relation* relation, Options options)
       narrator_(relation, options.entity_dim) {
   SITFACT_CHECK(relation != nullptr);
   SITFACT_CHECK(options_.publish_every >= 1);
-  work_.skyband_ = options_.skyband_index;
   Publish();  // Acquire() is never null, even before the first arrival
 }
 
@@ -302,16 +229,10 @@ void FactIndex::AddRecord(const ArrivalReport& report, const SkylineFact& fact,
     }
   }
 
-  // With the skyband serving bands on, every list stays in TopK order
-  // (prominence descending, id ascending): the new record binary-searches
-  // its slot — since its id is the largest, that is "after every entry with
-  // prominence >= mine". Off, lists grow in record-id order and TopK sorts
-  // per query (the pre-skyband behaviour, kept for the escape hatch).
+  // Every list stays in TopK order (prominence descending, id ascending):
+  // the new record binary-searches its slot — since its id is the largest,
+  // that is "after every entry with prominence >= mine".
   const auto ordered_insert = [this, id, &rec](BandVec* list) {
-    if (!work_.skyband_) {
-      list->PushBack(id);
-      return;
-    }
     ++work_.skyband_stats_.band_inserts;
     work_.skyband_stats_.shifted_records +=
         list->Insert(id, [this, id, &rec](uint32_t other) {

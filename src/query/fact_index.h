@@ -134,8 +134,7 @@ class BandVec {
   bool empty() const { return size_ == 0; }
   Iterator begin() const { return Iterator(this, 0, 0); }
 
-  /// Appends at the end (writer thread only) — the escape-hatch mode where
-  /// lists grow in record-id order.
+  /// Appends at the end (writer thread only); Insert's first element.
   void PushBack(uint32_t value) {
     if (chunks_.empty() || chunks_.back()->size() >= kChunkSize) {
       AppendChunk();
@@ -359,9 +358,10 @@ class FactIndexSnapshot {
   const std::string& narration(uint32_t id) const;
 
   /// Top-k by at-arrival prominence (descending; ties broken by record id
-  /// ascending, i.e. arrival order). Served from the log2-bucketed
-  /// prominence index: buckets are walked best-first and the walk stops as
-  /// soon as a finished bucket has already produced k matches.
+  /// ascending, i.e. arrival order). Served from the TopK-sorted serving
+  /// bands: the log2-bucketed prominence lists are walked best-first (or
+  /// the one shape list a filter pins) and the walk stops at the first
+  /// match past the page.
   TopKResult TopK(size_t k, const FactFilter& filter = {},
                   const std::optional<TopKCursor>& cursor =
                       std::nullopt) const;
@@ -388,10 +388,6 @@ class FactIndexSnapshot {
   /// Arrival seq of tuple `t`, or kNoArrival.
   uint32_t ArrivalOfTuple(TupleId t) const;
 
-  /// True when this epoch's prominence buckets and shape lists are kept in
-  /// TopK order (the skyband serving bands): TopK walks them with an early
-  /// exit and no per-query sort. False reproduces the pre-skyband scan.
-  bool skyband_enabled() const { return skyband_; }
   const SkybandStats& skyband_stats() const { return skyband_stats_; }
 
  private:
@@ -404,24 +400,20 @@ class FactIndexSnapshot {
   /// TupleId -> arrival seq (kNoArrival for ids the index never saw).
   CowVec<uint32_t> tuple_to_arrival_;
   /// Record ids bucketed by floor(log2(prominence)) + 1 (bucket 0 holds
-  /// prominence < 1, i.e. unranked records). Bucket ranges are disjoint, so
-  /// walking buckets high-to-low visits records in coarse prominence order.
+  /// prominence < 1, i.e. unranked records), each bucket in TopK order.
+  /// Bucket ranges are disjoint, so walking buckets high-to-low visits
+  /// records in TopK order.
   std::array<BandVec, kProminenceBuckets> by_prominence_;
-  /// Record ids per constraint bound mask / measure subspace: a TopK whose
-  /// filter pins the shape scans only the matching list instead of the
-  /// prominence buckets.
+  /// Record ids per constraint bound mask / measure subspace, in TopK
+  /// order: a TopK whose filter pins the shape scans only the matching list
+  /// instead of the prominence buckets.
   std::vector<std::pair<DimMask, BandVec>> by_bound_;
   std::vector<std::pair<MeasureMask, BandVec>> by_subspace_;
   uint64_t epoch_ = 0;
-  /// Lists above are TopK-sorted (skyband serving bands) when set; in
-  /// insertion (record id) order otherwise.
-  bool skyband_ = false;
   SkybandStats skyband_stats_;
 
   const BandVec* BoundList(DimMask mask) const;
   const BandVec* SubspaceList(MeasureMask mask) const;
-  TopKResult TopKOrdered(size_t k, const FactFilter& filter,
-                         const std::optional<TopKCursor>& cursor) const;
 };
 
 /// Secondary index over the stream of discovered facts, maintained
@@ -446,13 +438,6 @@ class FactIndex {
     bool store_narrations = true;
     /// Dimension naming the acting entity for narration; -1 for none.
     int entity_dim = -1;
-    /// Maintain the prominence buckets and shape lists in TopK order (the
-    /// skyband serving bands): each AddRecord pays a binary-searched
-    /// insertion so TopK never sorts and stops at the k-th match. Off
-    /// reproduces the append-order lists and the scan-then-sort TopK;
-    /// results are byte-identical either way (pinned by the fuzz
-    /// differential). FactService resolves SITFACT_SKYBAND_INDEX into this.
-    bool skyband_index = true;
   };
 
   /// `relation` must outlive the index and is read only from the writer

@@ -166,10 +166,11 @@ void FactFeed::WorkerLoop() {
         return;
       }
     } else {
-      for (const ArrivalReport& report :
-           engine_->AppendBatch(std::span<const Row>(batch))) {
-        DeliverReport(report);
-      }
+      // Through the engine's sink, so a sequential engine delivers each
+      // report before it appends the next row of the batch.
+      engine_->AppendBatch(
+          std::span<const Row>(batch),
+          [this](ArrivalReport&& report) { DeliverReport(report); });
     }
   }
 }

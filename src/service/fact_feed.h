@@ -29,8 +29,13 @@ namespace sitfact {
 /// The worker drains whatever the queue holds, up to Options::max_batch
 /// rows, into one AppendBatch call: a sharded engine keeps its shard
 /// pipeline full under bursty producers, and a sequential one appends them
-/// one by one. A producer that waits for each arrival to become visible
-/// always finds an empty queue, so its batches stay at one row.
+/// one by one. Reports reach the service and the subscriber through the
+/// engine's report sink: a sequential engine delivers each one before it
+/// appends the next row, so a subscriber reading the engine sees exactly
+/// the arrivals delivered so far whatever the batch size; a sharded engine
+/// delivers once the batch has joined. The durable back end delivers after
+/// its whole batch. A producer that waits for each arrival to become
+/// visible always finds an empty queue, so its batches stay at one row.
 ///
 /// Backpressure: the queue is bounded; Publish() blocks when full (the
 /// stream must not silently drop events — a missed arrival would corrupt

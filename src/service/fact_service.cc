@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "core/prominence.h"
 #include "relation/schema.h"
-#include "skyline/skyband_index.h"
 
 namespace sitfact {
 
@@ -18,7 +17,6 @@ FactIndex::Options FactService::IndexOptions(const Relation* relation,
   out.entity_dim = options.entity.empty()
                        ? -1
                        : relation->schema().DimensionIndex(options.entity);
-  out.skyband_index = options.skyband_index && SkybandIndexEnabledFromEnv();
   return out;
 }
 
@@ -131,17 +129,9 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
   std::unique_ptr<Discoverer> disc = std::move(disc_or).value();
 
   auto service = std::make_unique<FactService>(relation, options);
+  // SBottomUp stores under Invariant 1, so each denominator is one bucket
+  // size read from its own store.
   ContextCounter counter(disc->max_bound_dims());
-  // The replay rides the same skyband shadow a live engine would keep, so a
-  // rebuilt service exercises (and is accelerated by) the identical
-  // prominence path. SBottomUp's store is in-memory, hence notifying.
-  SkybandIndex skyband;
-  const SkybandIndex* band_source = nullptr;
-  if (SkybandIndexEnabledFromEnv() && disc->mutable_store() != nullptr &&
-      disc->mutable_store()->NotifiesObservers()) {
-    skyband.Attach(disc->mutable_store(), disc->storage_policy());
-    band_source = &skyband;
-  }
   ArrivalReport report;
   for (TupleId t = 0; t < relation->size(); ++t) {
     if (relation->IsDeleted(t)) continue;
@@ -152,7 +142,6 @@ StatusOr<std::unique_ptr<FactService>> FactService::Rebuild(
     CanonicalizeFacts(&report.facts);
     ProminenceEvaluator evaluator(relation, &counter, disc->mutable_store(),
                                   disc->storage_policy());
-    evaluator.set_skyband(band_source);
     report.ranked = evaluator.RankAll(report.facts);
     report.prominent = SelectProminent(report.ranked, tau);
     service->OnArrival(report);

@@ -38,12 +38,6 @@ class FactService {
     /// Dimension naming the acting entity for narrations (e.g. "player");
     /// empty picks no subject.
     std::string entity;
-    /// Keep the index's prominence buckets and shape lists in TopK order
-    /// (the skyband serving bands), so TopK/About pages come off a sorted
-    /// walk instead of a scan-and-sort. ANDed with the
-    /// SITFACT_SKYBAND_INDEX environment escape hatch; responses are
-    /// byte-identical either way.
-    bool skyband_index = true;
   };
 
   /// `relation` must outlive the service; it is read only from the writer
@@ -140,10 +134,8 @@ class FactService {
     /// a numeric summary otherwise). Never touches the live Relation.
     std::string Explain(const FactView& view) const;
 
-    /// Whether this epoch's serving lists are TopK-sorted (the skyband
-    /// serving bands), plus the cumulative maintenance counters behind
-    /// them; /statz renders both.
-    bool skyband_enabled() const { return state_->skyband_enabled(); }
+    /// Cumulative maintenance counters of the TopK-sorted serving bands;
+    /// /statz renders them.
     const FactIndexSnapshot::SkybandStats& skyband_stats() const {
       return state_->skyband_stats();
     }

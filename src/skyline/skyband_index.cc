@@ -16,14 +16,13 @@ bool SkybandIndexEnabledFromEnv() {
   return s != "off" && s != "0";
 }
 
-void SkybandIndex::Attach(MuStore* store, StoragePolicy policy) {
+void SkybandIndex::Attach(MuStore* store) {
   SITFACT_CHECK(store != nullptr);
   SITFACT_CHECK_MSG(store->NotifiesObservers(),
                     "a skyband index needs a notifying µ-store");
   Detach();
   std::lock_guard<std::mutex> lock(mu_);
   store_ = store;
-  policy_ = policy;
   // Register before priming: the single-writer contract means no mutation
   // can slip between the two, and attaching mid-stream (restored store)
   // starts from the store's current contents either way. ForEachBucket
@@ -110,13 +109,6 @@ const SkybandIndex::Band* SkybandIndex::FindBandLocked(const Constraint& c,
       [](const Band& b, MeasureMask mask) { return b.mask < mask; });
   if (band == family.end() || band->mask != m) return nullptr;
   return &*band;
-}
-
-uint64_t SkybandIndex::SkylineSize(const Constraint& c, MeasureMask m) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.size_probes;
-  const Band* band = FindBandLocked(c, m);
-  return band == nullptr ? 0 : band->members.size();
 }
 
 uint64_t SkybandIndex::UnionSkylineSize(const Relation& r, const Constraint& c,

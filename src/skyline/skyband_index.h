@@ -14,44 +14,36 @@
 
 namespace sitfact {
 
-/// Master switch for the skyband index layers, read once per consumer:
-/// SITFACT_SKYBAND_INDEX=off (or 0) disables them, anything else — including
-/// unset — leaves them on. One escape hatch covers both the µ-side shadow
-/// (this file) and the FactIndex serving bands, so a single environment
-/// variable restores the pre-index behaviour end to end.
+/// Switch for the µ-side skyband shadow, read once per engine:
+/// SITFACT_SKYBAND_INDEX=off (or 0) keeps an Invariant-2 engine from
+/// attaching one, so it ranks from store reads; anything else, including
+/// unset, leaves it on. Reports are identical either way.
 bool SkybandIndexEnabledFromEnv();
 
 /// Incremental per-(constraint, measure-subspace) skyband shadow of a µ
-/// store — the paper's prominence denominator |λ_M(σ_C(R))| turned into a
-/// lookup. Each non-empty µ bucket is mirrored as one *band*; bands of one
+/// store: the paper's prominence denominator |λ_M(σ_C(R))| under
+/// Invariant 2 (kMaximalSkylineConstraints) turned into in-memory reads.
+/// Each non-empty µ bucket is mirrored as one *band*; bands of one
 /// constraint form a *family*, exactly the Context grouping the store uses.
 ///
 /// The index registers as the store's observer and folds every
 /// OnBucketChanged into its bands, so it is coherent with the store after
-/// every mutation, including shard-parallel ones (one internal mutex; the
-/// per-bucket copy is the price of O(1) size probes). It attaches only to
-/// notifying stores (MemoryMuStore, PagedMuStore, SegmentedMuStore).
+/// every mutation. It attaches only to notifying stores (MemoryMuStore,
+/// PagedMuStore). Under Invariant 2, λ is the deduplicated union of C's
+/// ancestor bands filtered by satisfaction of C: the walk
+/// ProminenceEvaluator does against the store, minus every bucket read.
+/// (Under Invariant 1 a bucket already is λ, so no engine keeps an index
+/// there; see DiscoveryEngine::skyband_index.)
 ///
-/// What it answers without touching the store:
-///  * Invariant 1 (kAllSkylineConstraints): a band IS λ_M(σ_C(R)), so its
-///    size is a direct read.
-///  * Invariant 2 (kMaximalSkylineConstraints): λ is the deduplicated union
-///    of C's ancestor bands filtered by satisfaction of C — the same walk
-///    ProminenceEvaluator does against the store, minus every bucket read.
-///
-/// Threading: Attach/Detach and all probes belong to the engine's
-/// writer thread; OnBucketChanged may arrive concurrently from shard pool
-/// threads (SegmentedMuStore forwards to per-shard segments). Every method
-/// takes the one internal mutex, and none calls out while holding it, so
-/// the index is safe under the sharded engine's fork/join without ordering
-/// assumptions beyond the store's own.
+/// Threading: the engine's writer thread makes every call, mutations and
+/// probes alike; no engine notifies it from other threads. Every method
+/// still takes the one internal mutex, and none calls out while holding it.
 class SkybandIndex : public MuStore::BucketObserver {
  public:
   /// Maintenance and probe counters (monotonic except the three gauges).
   struct Stats {
     uint64_t notifications = 0;  ///< OnBucketChanged callbacks folded in
-    uint64_t size_probes = 0;    ///< Invariant-1 SkylineSize answers
-    uint64_t union_probes = 0;   ///< Invariant-2 union answers
+    uint64_t union_probes = 0;   ///< UnionSkylineSize answers
     uint64_t families = 0;       ///< gauge: constraints with >= 1 band
     uint64_t bands = 0;          ///< gauge: non-empty (C, M) bands
     uint64_t members = 0;        ///< gauge: Σ band sizes
@@ -63,33 +55,21 @@ class SkybandIndex : public MuStore::BucketObserver {
   SkybandIndex(const SkybandIndex&) = delete;
   SkybandIndex& operator=(const SkybandIndex&) = delete;
 
-  /// Registers as `store`'s observer (the store must notify), records the
-  /// invariant, and primes the bands from ForEachBucket so attaching to an
-  /// already-populated store (a restored snapshot) starts coherent.
-  void Attach(MuStore* store, StoragePolicy policy);
+  /// Registers as `store`'s observer (the store must notify) and primes the
+  /// bands from ForEachBucket so attaching to an already-populated store (a
+  /// restored snapshot) starts coherent.
+  void Attach(MuStore* store);
 
   /// Unregisters from the store and drops every band.
   void Detach();
 
   bool attached() const;
-  StoragePolicy policy() const { return policy_; }
-
-  /// |λ_M(σ_C(R))| under Invariant 1: the band size, 0 when absent.
-  uint64_t SkylineSize(const Constraint& c, MeasureMask m) const;
 
   /// |λ_M(σ_C(R))| under Invariant 2: deduplicated union of the bands of
   /// C's ancestors-or-self, filtered by satisfaction of C — byte-for-byte
   /// the set ProminenceEvaluator computes from the store.
   uint64_t UnionSkylineSize(const Relation& r, const Constraint& c,
                             MeasureMask m) const;
-
-  /// Policy-dispatched |λ|: the evaluator's one entry point.
-  uint64_t SkylineSizeFor(const Relation& r, const Constraint& c,
-                          MeasureMask m) const {
-    return policy_ == StoragePolicy::kAllSkylineConstraints
-               ? SkylineSize(c, m)
-               : UnionSkylineSize(r, c, m);
-  }
 
   /// Visits every band (unspecified order; members in store order). `fn`
   /// must not call back into the index — the lock is held.
@@ -101,7 +81,7 @@ class SkybandIndex : public MuStore::BucketObserver {
   size_t ApproxMemoryBytes() const;
 
   // MuStore::BucketObserver: replaces (or erases, when `bucket` is empty)
-  // the band for (c, m). Any thread.
+  // the band for (c, m).
   void OnBucketChanged(const Constraint& c, MeasureMask m,
                        const std::vector<TupleId>& bucket) override;
 
@@ -124,7 +104,6 @@ class SkybandIndex : public MuStore::BucketObserver {
 
   mutable std::mutex mu_;
   MuStore* store_ = nullptr;
-  StoragePolicy policy_ = StoragePolicy::kAllSkylineConstraints;
   std::unordered_map<Constraint, Family, ConstraintHash> families_;
   mutable Stats stats_;
   mutable std::vector<TupleId> union_scratch_;

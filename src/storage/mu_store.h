@@ -111,19 +111,17 @@ class MuStore {
   virtual ~MuStore() = default;
 
   /// Registers `observer` (or nullptr to detach). At most one; the default
-  /// is none, and the hot path pays a single branch when unset. Virtual so
-  /// composite stores (SegmentedMuStore) can fan the registration out to
-  /// every segment — a sharded engine then feeds an observer the same
-  /// mutation stream a sequential engine would.
-  virtual void set_bucket_observer(BucketObserver* observer) {
+  /// is none, and the hot path pays a single branch when unset.
+  void set_bucket_observer(BucketObserver* observer) {
     bucket_observer_ = observer;
   }
   BucketObserver* bucket_observer() const { return bucket_observer_; }
 
   /// True when this store actually emits OnBucketChanged for every mutation
-  /// (the in-memory stores). False for the file-backed stores: an observer
-  /// attached to one sees nothing and must rebuild from ForEachBucket — a
-  /// shadowing index checks this to know whether it can stay live.
+  /// (the memory and paged stores). False for the file-backed and segmented
+  /// stores: an observer attached to one sees nothing and must rebuild from
+  /// ForEachBucket — a shadowing index checks this to know whether it can
+  /// stay live.
   virtual bool NotifiesObservers() const { return false; }
 
   /// Stable handle for constraint `c`, creating an (empty) entry if absent.

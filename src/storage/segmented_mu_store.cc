@@ -45,11 +45,6 @@ void SegmentedMuStore::ForEachBucket(
   for (auto& segment : segments_) segment->ForEachBucket(fn);
 }
 
-void SegmentedMuStore::set_bucket_observer(BucketObserver* observer) {
-  bucket_observer_ = observer;
-  for (auto& segment : segments_) segment->set_bucket_observer(observer);
-}
-
 void SegmentedMuStore::set_dirty_tracking(bool enabled) {
   dirty_tracking_ = enabled;
   for (auto& segment : segments_) segment->set_dirty_tracking(enabled);

@@ -22,7 +22,10 @@ namespace sitfact {
 /// Thread-safety contract: concurrent calls are safe iff no two threads
 /// touch constraints routed to the same segment, and the whole-store views
 /// (stats(), ForEachBucket, ApproxMemoryBytes, dirty iteration) run only
-/// while no segment is being mutated (i.e. between merge barriers).
+/// while no segment is being mutated (i.e. between merge barriers). The
+/// store emits no bucket notifications (NotifiesObservers() is false), so
+/// no observer ever runs on a shard thread: the sharded engine ranks under
+/// Invariant 1 from the segments themselves and keeps no skyband shadow.
 class SegmentedMuStore : public MuStore {
  public:
   /// `segment_of_mask` maps every DimMask (dense, size 2^d) to a segment in
@@ -41,17 +44,6 @@ class SegmentedMuStore : public MuStore {
   /// override the base stats_ would stay zero forever and
   /// Discoverer::StoredTupleCount() / the bench harness would under-report.
   const MuStoreStats& stats() const override;
-
-  /// Forwards the registration to every segment: mutations go straight to
-  /// the per-shard stores, so an observer registered only on the composite
-  /// would never fire. The observer must be thread-safe — shards mutate
-  /// their segments concurrently.
-  void set_bucket_observer(BucketObserver* observer) override;
-
-  /// Memory and paged segments both notify on every mutation.
-  bool NotifiesObservers() const override {
-    return segments_.front()->NotifiesObservers();
-  }
 
   /// Dirty tracking and Flush fan out to the segments; each segment keeps
   /// its own dirty set, so shard threads never contend on shared tracking

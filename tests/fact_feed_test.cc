@@ -5,6 +5,7 @@
 #include "service/fact_feed.h"
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -245,6 +246,46 @@ TEST(FactFeed, NotifyAllDeliversEmptyReports) {
   EXPECT_EQ(seen[1].second, 0u);  // the dominated arrival mints none
   EXPECT_EQ(feed.processed(), 2u);
   EXPECT_EQ(feed.prominent_arrivals(), 1u);
+}
+
+TEST(FactFeed, SubscriberSeesOnlyArrivalsDeliveredSoFar) {
+  // A burst drained in one AppendBatch: the worker is held inside the first
+  // subscriber call until the rest of the rows are queued, so it pops them
+  // together. A sequential engine delivers each report before it appends
+  // the next row, so what the subscriber reads off the engine describes
+  // exactly the arrivals it has seen, whatever the batch size.
+  Dataset data = TestData(20, 12);
+  Relation rel(data.schema());
+  auto engine = MakeEngine(&rel);
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<std::pair<TupleId, size_t>> seen;  // (tuple, relation size)
+  FactFeed::Options options;
+  options.notify_all_arrivals = true;
+  FactFeed feed(
+      engine.get(),
+      [&](const ArrivalReport& r) {
+        seen.emplace_back(r.tuple, rel.size());
+        if (seen.size() == 1) {
+          entered.set_value();
+          released.wait();
+        }
+      },
+      options);
+  ASSERT_TRUE(feed.Publish(data.rows()[0]));
+  entered.get_future().wait();
+  for (size_t i = 1; i < data.rows().size(); ++i) {
+    ASSERT_TRUE(feed.Publish(data.rows()[i]));
+  }
+  release.set_value();
+  feed.Stop();
+
+  ASSERT_EQ(seen.size(), data.rows().size());
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].first, i);
+    EXPECT_EQ(seen[i].second, seen[i].first + 1) << "report " << i;
+  }
 }
 
 TEST(FactFeed, MultipleProducersAllRowsAccountedFor) {

@@ -1,9 +1,9 @@
 // Differential tests for skyline/skyband_index.h. The index is diffed
-// against a brute-force ForEachBucket rescan after each mutation (memory,
-// segmented and restored stores), engines run the same op stream with the
-// index on vs off — or over a file store, which keeps no index — and must
-// produce identical reports, and the sharded engine hammers
-// OnBucketChanged from pool threads (the SkybandIndex TSan target).
+// against a brute-force ForEachBucket rescan after each mutation (memory and
+// restored stores), engines run the same op stream with the index on vs off
+// (escape hatch, a file store, or an Invariant-1 engine, none of which keeps
+// one) and must produce identical reports, and every engine kind is checked
+// to hold an index exactly when Invariant-2 ranking reads one.
 
 #include "skyline/skyband_index.h"
 
@@ -22,7 +22,6 @@
 #include "core/engine.h"
 #include "exec/sharded_engine.h"
 #include "storage/memory_mu_store.h"
-#include "storage/segmented_mu_store.h"
 #include "test_util.h"
 
 #include <gtest/gtest.h>
@@ -36,7 +35,7 @@ using testing_util::RandomDataConfig;
 using testing_util::RandomDataset;
 
 /// Brute-force oracle: the index must hold exactly the store's non-empty
-/// buckets, member-for-member, with gauges and probe surface agreeing.
+/// buckets, member-for-member, with gauges agreeing.
 void ExpectMatchesRescan(const SkybandIndex& index, MuStore& store) {
   std::unordered_map<Constraint, std::map<MeasureMask, std::vector<TupleId>>,
                      ConstraintHash>
@@ -61,12 +60,6 @@ void ExpectMatchesRescan(const SkybandIndex& index, MuStore& store) {
     EXPECT_EQ(members, bit->second);
   });
   EXPECT_EQ(bands, dumped_buckets) << "index holds stale bands";
-
-  for (const auto& [c, buckets] : dump) {
-    for (const auto& [m, bucket] : buckets) {
-      EXPECT_EQ(index.SkylineSize(c, m), bucket.size());
-    }
-  }
 
   const SkybandIndex::Stats stats = index.stats();
   EXPECT_EQ(stats.families, dump.size());
@@ -107,7 +100,7 @@ TEST(SkybandIndexMemory, ObserverTracksEveryDiscoveryMutation) {
   std::unique_ptr<Discoverer> disc = std::move(disc_or).value();
 
   SkybandIndex index;
-  index.Attach(disc->mutable_store(), disc->storage_policy());
+  index.Attach(disc->mutable_store());
   EXPECT_TRUE(index.attached());
 
   std::vector<SkylineFact> facts;
@@ -129,14 +122,14 @@ TEST(SkybandIndexMemory, ObserverTracksEveryDiscoveryMutation) {
   index.Detach();
   EXPECT_FALSE(index.attached());
   SkybandIndex late;
-  late.Attach(disc->mutable_store(), disc->storage_policy());
+  late.Attach(disc->mutable_store());
   ExpectMatchesRescan(late, *disc->mutable_store());
 }
 
 TEST(SkybandIndexFile, NonNotifyingStoreNeedsRebuild) {
   // File-backed stores never notify, so a ranking engine over one keeps no
   // skyband shadow and ranks from the store; its reports must equal the
-  // in-memory run's, where the shadow serves every |λ|.
+  // in-memory Invariant-2 run's, where the shadow serves every |λ|.
   Dataset data = RandomDataset(SmallConfig(40, 19));
   const std::string dir =
       (fs::temp_directory_path() / "sitfact_skyband_file_test").string();
@@ -144,8 +137,8 @@ TEST(SkybandIndexFile, NonNotifyingStoreNeedsRebuild) {
   Relation file_rel(data.schema());
   Relation mem_rel(data.schema());
   auto file_disc =
-      DiscoveryEngine::CreateDiscoverer("FSBottomUp", &file_rel, {}, dir);
-  auto mem_disc = DiscoveryEngine::CreateDiscoverer("SBottomUp", &mem_rel, {});
+      DiscoveryEngine::CreateDiscoverer("FSTopDown", &file_rel, {}, dir);
+  auto mem_disc = DiscoveryEngine::CreateDiscoverer("STopDown", &mem_rel, {});
   ASSERT_TRUE(file_disc.ok());
   ASSERT_TRUE(mem_disc.ok());
   DiscoveryEngine::Config config;
@@ -162,30 +155,6 @@ TEST(SkybandIndexFile, NonNotifyingStoreNeedsRebuild) {
     if (::testing::Test::HasFatalFailure()) break;
   }
   fs::remove_all(dir);
-}
-
-TEST(SkybandIndexSegmented, ObserverFollowsPerSegmentWrites) {
-  Dataset data = PaperTableIV();
-  Relation r(data.schema());
-  for (const Row& row : data.rows()) r.Append(row);
-  SegmentedMuStore store(3, {0, 1, 2, 0, 1, 2, 0, 1});
-
-  SkybandIndex index;
-  index.Attach(&store, StoragePolicy::kAllSkylineConstraints);
-  EXPECT_TRUE(index.attached());
-
-  auto C = [&](DimMask mask, TupleId t = 4) {
-    return Constraint::ForTuple(r, t, mask);
-  };
-  store.GetOrCreate(C(0b001))->Write(0b01, {0, 1});
-  ExpectMatchesRescan(index, store);
-  store.GetOrCreate(C(0b010))->Write(0b10, {2});
-  store.GetOrCreate(C(0b011))->Write(0b11, {3, 4});
-  ExpectMatchesRescan(index, store);
-  store.segment(0)->Find(C(0b011))->Write(0b11, {3});  // shard's direct path
-  ExpectMatchesRescan(index, store);
-  store.Find(C(0b001))->Write(0b01, {});  // emptied -> band erased
-  ExpectMatchesRescan(index, store);
 }
 
 TEST(SkybandIndexRestore, AttachPrimesFromDeserializedDump) {
@@ -223,88 +192,117 @@ TEST(SkybandIndexRestore, AttachPrimesFromDeserializedDump) {
   }
 
   SkybandIndex index;
-  index.Attach(&restored, disc->storage_policy());
+  index.Attach(&restored);
   ExpectMatchesRescan(index, restored);
   // And the restored bands agree with the original store's bands.
   ExpectMatchesRescan(index, *disc->mutable_store());
   fs::remove_all(base);
 }
 
-/// The engine differential: the same Append/Remove/Update stream through an
-/// index-accelerated engine and an escape-hatched one must produce
-/// identical reports — the index may only change how |λ| is obtained.
-void RunEngineDifferential(const std::string& algo) {
-  Dataset data = RandomDataset(SmallConfig(70, 23));
-  Relation on_rel(data.schema());
-  Relation off_rel(data.schema());
-  auto make = [&](Relation* rel) {
-    auto disc_or = DiscoveryEngine::CreateDiscoverer(algo, rel, {});
-    EXPECT_TRUE(disc_or.ok());
-    DiscoveryEngine::Config config;
-    config.tau = 2.0;
-    return std::make_unique<DiscoveryEngine>(rel, std::move(disc_or).value(),
-                                             config);
-  };
-  auto on = make(&on_rel);
-  ASSERT_NE(on->skyband_index(), nullptr);
-  ::setenv("SITFACT_SKYBAND_INDEX", "off", 1);
-  auto off = make(&off_rel);
-  ::unsetenv("SITFACT_SKYBAND_INDEX");
-  ASSERT_EQ(off->skyband_index(), nullptr);
-
+/// Drives the same Append/Remove/Update stream through `a` and `b` and
+/// requires identical reports: an index may only change how |λ| is
+/// obtained, never what a report says.
+void ExpectSameReportsOverStream(DiscoveryEngine* a, DiscoveryEngine* b,
+                                 const Dataset& data) {
   Rng rng(5);
   for (const Row& row : data.rows()) {
-    ExpectReportsEqual(on->Append(row), off->Append(row));
+    ExpectReportsEqual(a->Append(row), b->Append(row));
     if (::testing::Test::HasFatalFailure()) return;
-    if (on_rel.size() > 5 && rng.NextBool(0.15)) {
-      const TupleId t = rng.NextBounded(on_rel.size());
-      if (!on_rel.IsDeleted(t)) {
+    const Relation& rel = a->relation();
+    if (rel.size() > 5 && rng.NextBool(0.15)) {
+      const TupleId t = rng.NextBounded(rel.size());
+      if (!rel.IsDeleted(t)) {
         if (rng.NextBool(0.5)) {
-          ASSERT_EQ(on->Remove(t).ok(), off->Remove(t).ok());
+          ASSERT_EQ(a->Remove(t).ok(), b->Remove(t).ok());
         } else {
-          auto ra = on->Update(t, data.rows()[0]);
-          auto rb = off->Update(t, data.rows()[0]);
+          auto ra = a->Update(t, data.rows()[0]);
+          auto rb = b->Update(t, data.rows()[0]);
           ASSERT_EQ(ra.ok(), rb.ok());
           if (ra.ok()) ExpectReportsEqual(ra.value(), rb.value());
         }
       }
     }
   }
+}
+
+std::unique_ptr<DiscoveryEngine> MakeEngine(const std::string& algo,
+                                            Relation* rel,
+                                            DiscoveryOptions options = {}) {
+  auto disc_or = DiscoveryEngine::CreateDiscoverer(algo, rel, options);
+  EXPECT_TRUE(disc_or.ok());
+  DiscoveryEngine::Config config;
+  config.options = options;
+  config.tau = 2.0;
+  return std::make_unique<DiscoveryEngine>(rel, std::move(disc_or).value(),
+                                           config);
+}
+
+TEST(SkybandIndexEngine, SBottomUpReportsIdenticalOnVsOff) {
+  // SBottomUp stores under Invariant 1, where a bucket is λ itself: it
+  // keeps no index and ranks from bucket sizes, and its reports equal those
+  // of an STopDown engine whose index serves every |λ|.
+  Dataset data = RandomDataset(SmallConfig(70, 23));
+  Relation bottom_rel(data.schema());
+  Relation top_rel(data.schema());
+  auto bottom = MakeEngine("SBottomUp", &bottom_rel);
+  auto top = MakeEngine("STopDown", &top_rel);
+  ASSERT_EQ(bottom->skyband_index(), nullptr);
+  ASSERT_NE(top->skyband_index(), nullptr);
+
+  ExpectSameReportsOverStream(bottom.get(), top.get(), data);
+  if (HasFatalFailure()) return;
+  ExpectMatchesRescan(*top->skyband_index(),
+                      *top->discoverer().mutable_store());
+
+  // The sharded engine ranks under Invariant 1 from its own segments.
+  Relation sharded_rel(data.schema());
+  auto sharded_or = CreateEngine(&sharded_rel, "STopDown", /*num_shards=*/3,
+                                 /*num_threads=*/3, DiscoveryEngine::Config());
+  ASSERT_TRUE(sharded_or.ok());
+  EXPECT_EQ(sharded_or.value()->skyband_index(), nullptr);
+}
+
+TEST(SkybandIndexEngine, STopDownReportsIdenticalOnVsOff) {
+  // The escape hatch switches the Invariant-2 shadow off: same reports,
+  // denominators from the store's ancestor-union walk instead.
+  Dataset data = RandomDataset(SmallConfig(70, 23));
+  Relation on_rel(data.schema());
+  Relation off_rel(data.schema());
+  auto on = MakeEngine("STopDown", &on_rel);
+  ASSERT_NE(on->skyband_index(), nullptr);
+  ::setenv("SITFACT_SKYBAND_INDEX", "off", 1);
+  auto off = MakeEngine("STopDown", &off_rel);
+  ::unsetenv("SITFACT_SKYBAND_INDEX");
+  ASSERT_EQ(off->skyband_index(), nullptr);
+
+  ExpectSameReportsOverStream(on.get(), off.get(), data);
+  if (HasFatalFailure()) return;
   // The accelerated engine's shadow still mirrors its store exactly.
   ExpectMatchesRescan(*on->skyband_index(), *on->discoverer().mutable_store());
 }
 
-TEST(SkybandIndexEngine, SBottomUpReportsIdenticalOnVsOff) {
-  RunEngineDifferential("SBottomUp");
-}
-
-TEST(SkybandIndexEngine, STopDownReportsIdenticalOnVsOff) {
-  RunEngineDifferential("STopDown");
-}
-
-TEST(SkybandIndexSharded, ConcurrentNotificationsStayCoherent) {
-  // The sharded engine's pool threads notify the index concurrently during
-  // AppendBatch; after the join the bands must equal a bucket rescan. This
-  // test is the SkybandIndex TSan target in CI.
-  Dataset data = RandomDataset(SmallConfig(120, 31));
-  Relation relation(data.schema());
-  ShardedEngine::Config config;
-  config.num_shards = 3;
-  config.num_threads = 3;
-  config.tau = 2.0;
-  ShardedEngine engine(&relation, config);
-  ASSERT_NE(engine.skyband_index(), nullptr);
-
-  std::vector<ArrivalReport> reports = engine.AppendBatch(data.rows());
-  EXPECT_EQ(reports.size(), data.rows().size());
-  ExpectMatchesRescan(*engine.skyband_index(),
-                      *engine.discoverer().mutable_store());
-
-  ASSERT_TRUE(engine.Remove(7).ok());
-  auto updated = engine.Update(12, data.rows()[1]);
-  ASSERT_TRUE(updated.ok());
-  ExpectMatchesRescan(*engine.skyband_index(),
-                      *engine.discoverer().mutable_store());
+TEST(SkybandIndexEngine, IndexOnlyWhereInvariantTwoRanks) {
+  // Exactly one index for the Invariant-2 engines over a notifying store,
+  // memory or paged; none for the Invariant-1 engines.
+  Dataset data = RandomDataset(SmallConfig(30, 41));
+  for (StorageBackend backend :
+       {StorageBackend::kMemory, StorageBackend::kPaged}) {
+    DiscoveryOptions options;
+    options.storage.backend = backend;
+    for (const char* algo : {"BottomUp", "SBottomUp", "TopDown", "STopDown"}) {
+      SCOPED_TRACE(std::string(algo) + " over " + StorageBackendName(backend));
+      Relation rel(data.schema());
+      auto engine = MakeEngine(algo, &rel, options);
+      const bool invariant2 = engine->discoverer().storage_policy() ==
+                              StoragePolicy::kMaximalSkylineConstraints;
+      EXPECT_EQ(engine->skyband_index() != nullptr, invariant2);
+      for (const Row& row : data.rows()) engine->Append(row);
+      if (invariant2) {
+        ExpectMatchesRescan(*engine->skyband_index(),
+                            *engine->discoverer().mutable_store());
+      }
+    }
+  }
 }
 
 TEST(SkybandIndexEnv, EscapeHatchParsesOffAndZero) {

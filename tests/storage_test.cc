@@ -687,31 +687,6 @@ TEST_F(SegmentedMuStoreTest, ForEachBucketVisitsEverySegmentOnce) {
   EXPECT_EQ((seen[{0b100, 0b01}]), (std::vector<TupleId>{3}));
 }
 
-TEST_F(SegmentedMuStoreTest, ObserverForwardsToEverySegment) {
-  // Regression for the observer satellite: mutations run against per-shard
-  // segments, so a registration kept only on the composite would never
-  // fire. set_bucket_observer must fan out to every segment, and clearing
-  // it must silence all of them again.
-  ShadowObserver observer;
-  store_.set_bucket_observer(&observer);
-  EXPECT_TRUE(store_.NotifiesObservers());
-
-  store_.GetOrCreate(C(0b001))->Write(0b01, {0, 1});   // segment 1
-  store_.GetOrCreate(C(0b010))->Write(0b10, {2});      // segment 2
-  store_.GetOrCreate(C(0b011))->Write(0b11, {3, 4});   // segment 0
-  store_.segment(0)->Find(C(0b011))->Write(0b11, {3});  // shard's direct path
-  EXPECT_EQ(observer.notifications(), 4u);
-  observer.ExpectMatches(store_);
-
-  store_.Find(C(0b001))->Write(0b01, {});  // emptied -> erased from shadow
-  observer.ExpectMatches(store_);
-
-  store_.set_bucket_observer(nullptr);
-  const uint64_t before = observer.notifications();
-  store_.GetOrCreate(C(0b100))->Write(0b01, {5});
-  EXPECT_EQ(observer.notifications(), before);
-}
-
 TEST(SegmentedMuStore, DiscovererAggregationMatchesSequentialStore) {
   // Discoverer::StoredTupleCount()/ApproxMemoryBytes() must aggregate over
   // segmented µ stores exactly as they do over a monolithic one.

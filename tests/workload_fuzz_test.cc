@@ -9,10 +9,6 @@
 //   SITFACT_FUZZ_SEEDS    number of seeds per engine kind   (default 10)
 //   SITFACT_FUZZ_OPS      operations per seed               (default 100)
 //   SITFACT_FUZZ_SEED     run exactly this one seed (replay a CI failure)
-//   SITFACT_FUZZ_SKYBAND  1: feed a second FactService with the skyband
-//                         serving bands disabled the same mutation stream
-//                         and require byte-identical TopK/About pages
-//                         (including resume cursors) at every epoch
 //
 // A failure prints the seed; reproduce with
 //   SITFACT_FUZZ_SEED=<seed> ./workload_fuzz_test
@@ -326,42 +322,18 @@ FactFilter RandomFilter(Rng* rng, const Oracle& oracle) {
   return f;
 }
 
-void ExpectPagesEqual(const FactService::Page& a, const FactService::Page& b) {
-  ASSERT_EQ(a.epoch, b.epoch);
-  ASSERT_EQ(a.facts.size(), b.facts.size());
-  for (size_t i = 0; i < a.facts.size(); ++i) {
-    ASSERT_EQ(a.facts[i].id, b.facts[i].id) << "rank " << i;
-    ASSERT_EQ(a.facts[i].fact, b.facts[i].fact);
-    ASSERT_EQ(a.facts[i].prominence, b.facts[i].prominence);
-    ASSERT_EQ(a.facts[i].prominent, b.facts[i].prominent);
-  }
-  ASSERT_EQ(a.next.has_value(), b.next.has_value());
-  if (a.next.has_value()) {
-    ASSERT_EQ(a.next->record_id, b.next->record_id);
-    ASSERT_EQ(a.next->prominence, b.next->prominence);
-  }
-}
-
-/// The skyband acceptance differential: the index may change the cost of a
-/// page, never its bytes. Drains TopK with the same cursor stream from both
-/// services comparing every page (ids, prominences, next cursors), then an
-/// About page when the filter carries a subsumption constraint.
-void ExpectSkybandPagesIdentical(const FactService& on, const FactService& off,
-                                 size_t k, const FactFilter& filter) {
-  FactService::Snapshot a = on.Acquire();
-  FactService::Snapshot b = off.Acquire();
-  ASSERT_EQ(a.epoch(), b.epoch());
-  std::optional<TopKCursor> cursor;
-  for (;;) {
-    FactService::Page pa = a.TopK(k, filter, cursor);
-    FactService::Page pb = b.TopK(k, filter, cursor);
-    ExpectPagesEqual(pa, pb);
-    if (::testing::Test::HasFatalFailure()) return;
-    if (!pa.next.has_value()) break;
-    cursor = pa.next;
-  }
-  if (filter.about.has_value()) {
-    ExpectPagesEqual(a.About(*filter.about, k), b.About(*filter.about, k));
+/// `actual` must be exactly the oracle records `expected`, in order.
+void ExpectViewsMatch(const std::vector<FactService::FactView>& actual,
+                      const std::vector<uint32_t>& expected,
+                      const Oracle& oracle) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const Oracle::ShadowRecord& want = oracle.record(expected[i]);
+    ASSERT_EQ(actual[i].id, expected[i]) << "rank " << i;
+    ASSERT_EQ(actual[i].tuple, want.tuple);
+    ASSERT_EQ(actual[i].fact, want.fact);
+    ASSERT_EQ(actual[i].prominence, want.prominence);
+    ASSERT_EQ(actual[i].prominent, want.prominent);
   }
 }
 
@@ -373,14 +345,6 @@ void RunEpisode(EngineUnderTest* engine, uint64_t seed, int ops,
   const double tau = 1.5 + 0.5 * static_cast<double>(seed % 4);
   Oracle oracle;
   FactService service(&engine->relation());
-  // SITFACT_FUZZ_SKYBAND=1: same mutation stream into a service with the
-  // serving bands forced off; every query op also diffs the two.
-  std::unique_ptr<FactService> bands_off;
-  if (EnvInt("SITFACT_FUZZ_SKYBAND", 0) != 0) {
-    FactService::Options off;
-    off.skyband_index = false;
-    bands_off = std::make_unique<FactService>(&engine->relation(), off);
-  }
 
   for (int op = 0; op < ops; ++op) {
     ++*executed;
@@ -392,9 +356,6 @@ void RunEpisode(EngineUnderTest* engine, uint64_t seed, int ops,
       ArrivalReport expected = oracle.Append(row, tau);
       ExpectReportsEqual(actual, expected, oracle.relation());
       service.OnArrival(actual);
-      if (bands_off != nullptr) {
-        bands_off->OnArrival(actual);
-      }
     } else if (dice < 60) {
       const size_t n = 2 + rng.NextBounded(5);
       std::vector<Row> rows;
@@ -406,16 +367,12 @@ void RunEpisode(EngineUnderTest* engine, uint64_t seed, int ops,
         ArrivalReport expected = oracle.Append(rows[i], tau);
         ExpectReportsEqual(actual[i], expected, oracle.relation());
         service.OnArrival(actual[i]);
-        if (bands_off != nullptr) bands_off->OnArrival(actual[i]);
       }
     } else if (dice < 72) {
       TupleId t = oracle.live()[rng.NextBounded(oracle.live().size())];
       ASSERT_TRUE(engine->Remove(t).ok()) << "remove " << t;
       oracle.Remove(t);
       ASSERT_TRUE(service.OnRemove(t).ok());
-      if (bands_off != nullptr) {
-        ASSERT_TRUE(bands_off->OnRemove(t).ok());
-      }
     } else if (dice < 80) {
       TupleId t = oracle.live()[rng.NextBounded(oracle.live().size())];
       Row row = RandomRow(&rng);
@@ -425,26 +382,33 @@ void RunEpisode(EngineUnderTest* engine, uint64_t seed, int ops,
       ArrivalReport expected = oracle.Append(row, tau);
       ExpectReportsEqual(actual_or.value(), expected, oracle.relation());
       ASSERT_TRUE(service.OnUpdate(t, actual_or.value()).ok());
-      if (bands_off != nullptr) {
-        ASSERT_TRUE(bands_off->OnUpdate(t, actual_or.value()).ok());
-      }
     } else if (dice < 90) {
+      // Drain every TopK page through resume cursors: the pages concatenate
+      // to the oracle's full order, and the scan ends with next == nullopt.
       const size_t k = 1 + rng.NextBounded(12);
       FactFilter filter = RandomFilter(&rng, oracle);
-      std::vector<uint32_t> expected = oracle.TopKIds(filter);
-      if (expected.size() > k) expected.resize(k);
-      FactService::Page page = service.TopK(k, filter);
-      ASSERT_EQ(page.facts.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        const Oracle::ShadowRecord& want = oracle.record(expected[i]);
-        ASSERT_EQ(page.facts[i].id, expected[i]) << "rank " << i;
-        ASSERT_EQ(page.facts[i].tuple, want.tuple);
-        ASSERT_EQ(page.facts[i].fact, want.fact);
-        ASSERT_EQ(page.facts[i].prominence, want.prominence);
-        ASSERT_EQ(page.facts[i].prominent, want.prominent);
+      const std::vector<uint32_t> expected = oracle.TopKIds(filter);
+      FactService::Snapshot snap = service.Acquire();
+      std::vector<FactService::FactView> actual;
+      std::optional<TopKCursor> cursor;
+      for (size_t pages = 0;; ++pages) {
+        ASSERT_LE(pages, expected.size()) << "TopK pages never end";
+        FactService::Page p = snap.TopK(k, filter, cursor);
+        ASSERT_LE(p.facts.size(), k);
+        if (p.facts.empty()) {
+          ASSERT_FALSE(p.next.has_value());
+        }
+        actual.insert(actual.end(), p.facts.begin(), p.facts.end());
+        if (!p.next.has_value()) break;
+        cursor = p.next;
       }
-      if (bands_off != nullptr) {
-        ExpectSkybandPagesIdentical(service, *bands_off, k, filter);
+      ExpectViewsMatch(actual, expected, oracle);
+      if (filter.about.has_value()) {
+        FactFilter about_only;
+        about_only.about = filter.about;
+        std::vector<uint32_t> want = oracle.TopKIds(about_only);
+        if (want.size() > k) want.resize(k);
+        ExpectViewsMatch(snap.About(*filter.about, k).facts, want, oracle);
       }
     } else if (dice < 95) {
       const TupleId t = static_cast<TupleId>(
