@@ -134,17 +134,6 @@ class BandVec {
   bool empty() const { return size_ == 0; }
   Iterator begin() const { return Iterator(this, 0, 0); }
 
-  /// Appends at the end (writer thread only); Insert's first element.
-  void PushBack(uint32_t value) {
-    if (chunks_.empty() || chunks_.back()->size() >= kChunkSize) {
-      AppendChunk();
-    } else if (!owned_.back()) {
-      CloneChunk(chunks_.size() - 1);
-    }
-    chunks_.back()->push_back(value);
-    ++size_;
-  }
-
   /// Ordered insert (writer thread only). `sorts_before(e)` answers "does
   /// the new value order strictly before existing element e" and must be
   /// monotone along the list (false then true); the value lands at the
@@ -153,7 +142,9 @@ class BandVec {
   template <typename Pred>
   size_t Insert(uint32_t value, Pred&& sorts_before) {
     if (size_ == 0) {
-      PushBack(value);
+      AppendChunk();
+      chunks_.back()->push_back(value);
+      ++size_;
       return 0;
     }
     // First chunk whose last element the value sorts before holds the slot;
