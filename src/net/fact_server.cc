@@ -176,9 +176,6 @@ HttpResponse FactServer::HandleQuery(QueryKind kind,
     ++stats->errors;
     return ErrorResponse(HttpStatusFor(response.status()), response.status());
   }
-  if (kind == QueryKind::kTopK || kind == QueryKind::kAbout) {
-    ++stats->skyband_hits;
-  }
   std::string body = SerializeResponse(response.value());
   if (options_.cache_capacity > 0) {
     if (cache_.find(key) == cache_.end()) {
@@ -297,7 +294,6 @@ HttpResponse FactServer::StatzResponse() const {
     e.Set("requests", JsonValue::Number(stats->requests));
     e.Set("errors", JsonValue::Number(stats->errors));
     e.Set("cache_hits", JsonValue::Number(stats->cache_hits));
-    e.Set("skyband_hits", JsonValue::Number(stats->skyband_hits));
     e.Set("total_micros", JsonValue::Number(stats->total_micros));
     e.Set("max_micros", JsonValue::Number(stats->max_micros));
     endpoints.Set(name, std::move(e));

@@ -569,26 +569,26 @@ StatusOr<ArrivalReport> DurableEngine::Append(const Row& row) {
   return report;
 }
 
-DurableEngine::BatchResult DurableEngine::AppendBatch(
-    std::span<const Row> rows) {
+Status DurableEngine::AppendBatch(std::span<const Row> rows,
+                                  const DiscoveryEngine::ReportSink& sink) {
   // Log first — an op must be durable before its effects exist. If logging
   // fails partway, the durable prefix is still applied (the engine never
-  // lags its own log) and its reports are returned next to the error.
-  BatchResult result;
+  // lags its own log) and its reports delivered before the error returns.
+  Status status;
   size_t logged_rows = 0;
   for (const Row& row : rows) {
-    result.status = CheckRowArity(row);
-    if (!result.status.ok()) break;
+    status = CheckRowArity(row);
+    if (!status.ok()) break;
     WalOp op;
     op.kind = WalOpKind::kAppend;
     op.row = row;
-    result.status = Log(std::move(op));
-    if (!result.status.ok()) break;
+    status = Log(std::move(op));
+    if (!status.ok()) break;
     ++logged_rows;
   }
-  result.reports = engine_->AppendBatch(rows.subspan(0, logged_rows));
-  if (result.status.ok()) MaybeAutoCheckpoint();
-  return result;
+  engine_->AppendBatch(rows.subspan(0, logged_rows), sink);
+  if (status.ok()) MaybeAutoCheckpoint();
+  return status;
 }
 
 Status DurableEngine::Remove(TupleId t) {

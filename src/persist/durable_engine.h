@@ -138,19 +138,14 @@ class DurableEngine {
   /// regardless — and is surfaced through checkpoint_status() instead.
   StatusOr<ArrivalReport> Append(const Row& row);
 
-  /// Batch ingestion outcome: reports for every row that became durable,
-  /// plus the first WAL error if logging stopped partway. The two travel
-  /// together because a mid-batch disk failure still leaves a durable,
-  /// applied prefix whose reports the caller must deliver — an at-least-once
-  /// producer resumes past them, so they cannot be re-derived later.
-  struct BatchResult {
-    std::vector<ArrivalReport> reports;
-    Status status;
-  };
-
   /// Logs rows until the WAL rejects one, then applies the durable prefix
-  /// through the engine's AppendBatch (pipelined when it is sharded).
-  BatchResult AppendBatch(std::span<const Row> rows);
+  /// through the engine's AppendBatch (pipelined when it is sharded),
+  /// handing `sink` each report exactly as the engine does. Returns the
+  /// first WAL error, if any, only after the prefix's reports reached the
+  /// sink: a mid-batch disk failure still leaves a durable, applied prefix
+  /// whose reports an at-least-once producer cannot re-derive later.
+  Status AppendBatch(std::span<const Row> rows,
+                     const DiscoveryEngine::ReportSink& sink);
 
   /// Logs then applies a deletion / an update (remove + re-append).
   Status Remove(TupleId t);

@@ -1,7 +1,6 @@
 #include "query/fact_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,32 +9,10 @@ namespace sitfact {
 
 namespace {
 
-/// Bucket index for a prominence value: 0 for p < 1 (unranked records; a
-/// ranked fact's prominence is always >= 1 since the skyline is a subset of
-/// the context), otherwise floor(log2(p)) + 1 capped at the top bucket.
-/// Bucket b > 0 holds p in [2^(b-1), 2^b), so bucket ranges are disjoint
-/// and descending-bucket order is coarse descending-prominence order.
-int ProminenceBucket(double p) {
-  if (!(p >= 1.0)) return 0;
-  const auto v = static_cast<uint64_t>(p);
-  const int width = std::bit_width(v);  // >= 1 because v >= 1
-  return width < FactIndexSnapshot::kProminenceBuckets
-             ? width
-             : FactIndexSnapshot::kProminenceBuckets - 1;
-}
-
 /// TopK order: prominence descending, record id ascending.
 bool TopKBefore(double pa, uint32_t ia, double pb, uint32_t ib) {
   if (pa != pb) return pa > pb;
   return ia < ib;
-}
-
-BandVec* FindList(std::vector<std::pair<uint32_t, BandVec>>* lists,
-                  uint32_t key) {
-  for (auto& [k, list] : *lists) {
-    if (k == key) return &list;
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -66,85 +43,37 @@ uint32_t FactIndexSnapshot::ArrivalOfTuple(TupleId t) const {
   return tuple_to_arrival_[t];
 }
 
-const BandVec* FactIndexSnapshot::BoundList(DimMask mask) const {
-  for (const auto& [k, list] : by_bound_) {
-    if (k == mask) return &list;
+bool FactIndexSnapshot::AddMatch(uint32_t id, size_t k,
+                                 TopKResult* page) const {
+  if (page->record_ids.size() < k) {
+    page->record_ids.push_back(id);
+    return false;
   }
-  return nullptr;
-}
-
-const BandVec* FactIndexSnapshot::SubspaceList(MeasureMask mask) const {
-  for (const auto& [k, list] : by_subspace_) {
-    if (k == mask) return &list;
-  }
-  return nullptr;
+  const uint32_t last = page->record_ids.back();
+  page->next = TopKCursor{records_[last].prominence, last};
+  return true;
 }
 
 TopKResult FactIndexSnapshot::TopK(size_t k, const FactFilter& filter,
                                    const std::optional<TopKCursor>& cursor)
     const {
-  // Every source list is in TopK order, so the page is the first k matches
-  // in scan order (no candidate sort) and the scan stops at the first match
-  // past the page. `next` is set when a (k+1)-th match exists, or when k
-  // matches are in hand and lower buckets are still unvisited.
+  // The band is in TopK order, so the page is the first k matches in scan
+  // order, and a (k+1)-th match is what sets `next`.
   TopKResult result;
   if (k == 0) return result;
-
-  // First position of `list` strictly after the cursor. Entries sort by
-  // TopKBefore, so the predicate is monotone for any cursor value.
-  const auto after_cursor = [&](const BandVec& list) -> BandVec::Iterator {
-    if (!cursor.has_value()) return list.begin();
-    return list.LowerBound([&](uint32_t id) {
-      return TopKBefore(cursor->prominence, cursor->record_id,
-                        records_[id].prominence, id);
-    });
-  };
-
-  bool more = false;
-  // Collects matches from `begin` on until the page is full and one further
-  // match proves `more`; returns true when scanning should stop.
-  const auto scan = [&](BandVec::Iterator begin) -> bool {
-    for (BandVec::Iterator it = begin; !it.AtEnd(); it.Next()) {
-      const uint32_t id = *it;
-      if (!filter.Matches(records_[id])) continue;
-      if (result.record_ids.size() < k) {
-        result.record_ids.push_back(id);
-      } else {
-        more = true;
-        return true;
-      }
-    }
-    return false;
-  };
-
-  if (filter.bound_mask.has_value() || filter.subspace.has_value()) {
-    // Shape-pinned filters scan their secondary list instead of the
-    // prominence buckets: it holds exactly the records of that constraint
-    // shape / measure subspace. A mask the index never saw has no list.
-    const BandVec* source = filter.bound_mask.has_value()
-                                ? BoundList(*filter.bound_mask)
-                                : SubspaceList(*filter.subspace);
-    if (source != nullptr) scan(after_cursor(*source));
-  } else {
-    const int start = cursor.has_value()
-                          ? ProminenceBucket(cursor->prominence)
-                          : kProminenceBuckets - 1;
-    for (int b = start; b >= 0; --b) {
-      const BandVec& bucket = by_prominence_[b];
-      // Only the cursor's own bucket can hold already-served entries:
-      // every lower bucket's prominence range sits strictly below the
-      // cursor's (ProminenceBucket ranges are disjoint).
-      if (scan(b == start ? after_cursor(bucket) : bucket.begin())) break;
-      if (result.record_ids.size() >= k && b > 0) {
-        more = true;
-        break;
-      }
-    }
-  }
-
-  if (more && !result.record_ids.empty()) {
-    const uint32_t last = result.record_ids.back();
-    result.next = TopKCursor{records_[last].prominence, last};
+  // Resume strictly after the cursor. The predicate is monotone along the
+  // band for any client-supplied prominence: a NaN is never before an
+  // entry (empty page), +inf is before every one (first page).
+  BandVec::Iterator it =
+      cursor.has_value()
+          ? topk_order_.LowerBound([&](uint32_t id) {
+              return TopKBefore(cursor->prominence, cursor->record_id,
+                                records_[id].prominence, id);
+            })
+          : topk_order_.begin();
+  for (; !it.AtEnd(); it.Next()) {
+    const uint32_t id = *it;
+    if (filter.Matches(records_[id]) && AddMatch(id, k, &result)) break;
   }
   return result;
 }
@@ -159,13 +88,7 @@ TopKResult FactIndexSnapshot::FactsForTuple(
   for (uint32_t i = 0; i < entry.record_count; ++i) {
     const uint32_t id = entry.record_begin + i;
     if (cursor.has_value() && id <= cursor->record_id) continue;
-    if (!filter.Matches(records_[id])) continue;
-    if (out.record_ids.size() == k) {
-      const uint32_t last = out.record_ids.back();
-      out.next = TopKCursor{records_[last].prominence, last};
-      return out;
-    }
-    out.record_ids.push_back(id);
+    if (filter.Matches(records_[id]) && AddMatch(id, k, &out)) break;
   }
   return out;
 }
@@ -188,13 +111,7 @@ TopKResult FactIndexSnapshot::FactsInWindow(
     for (uint32_t i = 0; i < entry.record_count; ++i) {
       const uint32_t id = entry.record_begin + i;
       if (cursor.has_value() && id <= cursor->record_id) continue;
-      if (!filter.Matches(records_[id])) continue;
-      if (out.record_ids.size() == k) {
-        const uint32_t last = out.record_ids.back();
-        out.next = TopKCursor{records_[last].prominence, last};
-        return out;
-      }
-      out.record_ids.push_back(id);
+      if (filter.Matches(records_[id]) && AddMatch(id, k, &out)) return out;
     }
   }
   return out;
@@ -229,31 +146,15 @@ void FactIndex::AddRecord(const ArrivalReport& report, const SkylineFact& fact,
     }
   }
 
-  // Every list stays in TopK order (prominence descending, id ascending):
-  // the new record binary-searches its slot — since its id is the largest,
-  // that is "after every entry with prominence >= mine".
-  const auto ordered_insert = [this, id, &rec](BandVec* list) {
-    ++work_.skyband_stats_.band_inserts;
-    work_.skyband_stats_.shifted_records +=
-        list->Insert(id, [this, id, &rec](uint32_t other) {
-          return TopKBefore(rec.prominence, id,
-                            work_.records_[other].prominence, other);
-        });
-  };
-
-  ordered_insert(&work_.by_prominence_[ProminenceBucket(rec.prominence)]);
-  BandVec* bound = FindList(&work_.by_bound_, fact.constraint.bound_mask());
-  if (bound == nullptr) {
-    work_.by_bound_.emplace_back(fact.constraint.bound_mask(), BandVec());
-    bound = &work_.by_bound_.back().second;
-  }
-  ordered_insert(bound);
-  BandVec* sub = FindList(&work_.by_subspace_, fact.subspace);
-  if (sub == nullptr) {
-    work_.by_subspace_.emplace_back(fact.subspace, BandVec());
-    sub = &work_.by_subspace_.back().second;
-  }
-  ordered_insert(sub);
+  // The band stays in TopK order (prominence descending, id ascending): the
+  // new record binary-searches its slot — since its id is the largest, that
+  // is "after every entry with prominence >= mine".
+  ++work_.skyband_stats_.band_inserts;
+  work_.skyband_stats_.shifted_records +=
+      work_.topk_order_.Insert(id, [this, id, &rec](uint32_t other) {
+        return TopKBefore(rec.prominence, id,
+                          work_.records_[other].prominence, other);
+      });
 
   if (options_.store_narrations) {
     RankedFact rf;
@@ -359,9 +260,7 @@ void FactIndex::Publish() {
   work_.narrations_.Seal();
   work_.arrivals_.Seal();
   work_.tuple_to_arrival_.Seal();
-  for (auto& bucket : work_.by_prominence_) bucket.Seal();
-  for (auto& [mask, list] : work_.by_bound_) list.Seal();
-  for (auto& [mask, list] : work_.by_subspace_) list.Seal();
+  work_.topk_order_.Seal();
 
   auto snapshot = std::make_shared<const FactIndexSnapshot>(work_);
   last_published_epoch_ = work_.epoch_;

@@ -1,7 +1,6 @@
 #ifndef SITFACT_QUERY_FACT_INDEX_H_
 #define SITFACT_QUERY_FACT_INDEX_H_
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -94,14 +93,14 @@ class CowVec {
   size_t size_ = 0;
 };
 
-/// Record-id list behind the serving bands (prominence buckets and shape
-/// lists): chunks of ids with the same structural sharing and Seal protocol
+/// Record-id list behind the serving band (the index's one TopK-ordered
+/// list): chunks of ids with the same structural sharing and Seal protocol
 /// as CowVec, but ordered inserts are keyed by a predicate instead of a
 /// position. An insert binary-searches the chunk table by each chunk's last
 /// element, shifts within that single chunk, and splits a chunk that
 /// outgrows kChunkSize — O(log chunks + kChunkSize) per insert, where a
 /// positional suffix shift would make band maintenance quadratic in the
-/// record count (measured: ~7x on ingest at n=1500). Bands are never
+/// record count (measured: ~7x on ingest at n=1500). The band is never
 /// indexed by position — readers scan in order or binary-search by key —
 /// so the class exposes iterators, not operator[].
 class BandVec {
@@ -304,9 +303,9 @@ struct TopKCursor {
   uint32_t record_id = 0;
 };
 
-/// One TopK page: record ids in (prominence desc, record id asc) order.
-/// `next` is set when more matches may exist; a follow-up call may return an
-/// empty page with next == nullopt, which ends the scan.
+/// One page of record ids in the serving call's order. `next` is set exactly
+/// when the same snapshot holds a further match past the page, so a page
+/// without `next` ends the scan.
 struct TopKResult {
   std::vector<uint32_t> record_ids;
   std::optional<TopKCursor> next;
@@ -328,12 +327,11 @@ class FactIndexSnapshot {
 
   static constexpr uint32_t kNoArrival =
       std::numeric_limits<uint32_t>::max();
-  static constexpr int kProminenceBuckets = 64;
 
-  /// Maintenance counters of the skyband serving bands, published with each
-  /// epoch (cumulative since index construction; /statz renders them).
+  /// Maintenance counters of the TopK-ordered serving band, published with
+  /// each epoch (cumulative since index construction; /statz renders them).
   struct SkybandStats {
-    uint64_t band_inserts = 0;     ///< sorted insertions into serving bands
+    uint64_t band_inserts = 0;     ///< sorted insertions into the band
     uint64_t shifted_records = 0;  ///< entries shifted to keep band order
   };
 
@@ -349,10 +347,10 @@ class FactIndexSnapshot {
   const std::string& narration(uint32_t id) const;
 
   /// Top-k by at-arrival prominence (descending; ties broken by record id
-  /// ascending, i.e. arrival order). Served from the TopK-sorted serving
-  /// bands: the log2-bucketed prominence lists are walked best-first (or
-  /// the one shape list a filter pins) and the walk stops at the first
-  /// match past the page.
+  /// ascending, i.e. arrival order). Walks the TopK-ordered band from just
+  /// after the cursor, checks every filter field (shape, subspace, about,
+  /// window, prominence) per record, and stops at the (k+1)-th match, which
+  /// is what sets `next`.
   TopKResult TopK(size_t k, const FactFilter& filter = {},
                   const std::optional<TopKCursor>& cursor =
                       std::nullopt) const;
@@ -390,21 +388,15 @@ class FactIndexSnapshot {
   CowVec<ArrivalEntry> arrivals_;
   /// TupleId -> arrival seq (kNoArrival for ids the index never saw).
   CowVec<uint32_t> tuple_to_arrival_;
-  /// Record ids bucketed by floor(log2(prominence)) + 1 (bucket 0 holds
-  /// prominence < 1, i.e. unranked records), each bucket in TopK order.
-  /// Bucket ranges are disjoint, so walking buckets high-to-low visits
-  /// records in TopK order.
-  std::array<BandVec, kProminenceBuckets> by_prominence_;
-  /// Record ids per constraint bound mask / measure subspace, in TopK
-  /// order: a TopK whose filter pins the shape scans only the matching list
-  /// instead of the prominence buckets.
-  std::vector<std::pair<DimMask, BandVec>> by_bound_;
-  std::vector<std::pair<MeasureMask, BandVec>> by_subspace_;
+  /// Every record id in TopK order (prominence descending, id ascending);
+  /// TopK serves all its filters from this one walk.
+  BandVec topk_order_;
   uint64_t epoch_ = 0;
   SkybandStats skyband_stats_;
 
-  const BandVec* BoundList(DimMask mask) const;
-  const BandVec* SubspaceList(MeasureMask mask) const;
+  /// Appends match `id` to `page`; when the page already holds k ids it
+  /// sets `next` to the last one instead and returns true (stop scanning).
+  bool AddMatch(uint32_t id, size_t k, TopKResult* page) const;
 };
 
 /// Secondary index over the stream of discovered facts, maintained

@@ -138,39 +138,37 @@ void FactFeed::DeliverReport(const ArrivalReport& report) {
 
 void FactFeed::WorkerLoop() {
   std::vector<Row> batch;
+  // Through the engine's sink, so a sequential engine delivers each report
+  // before it appends the next row of the batch.
+  const DiscoveryEngine::ReportSink sink = [this](ArrivalReport&& report) {
+    DeliverReport(report);
+  };
   while (PopBatch(&batch)) {
     // The engine runs outside the lock: discovery dominates the cost and
     // producers only need the queue.
-    if (durable_engine_ != nullptr) {
-      persist::DurableEngine::BatchResult result =
-          durable_engine_->AppendBatch(std::span<const Row>(batch));
-      // Rows that became durable get their reports delivered even when the
-      // batch died partway — the producer will resume past them, so these
-      // notifications have no second chance.
-      for (const ArrivalReport& report : result.reports) {
-        DeliverReport(report);
-      }
-      if (!result.status.ok()) {
-        // Rows the store could not make durable must not be silently
-        // swallowed: latch the error and shut the intake. The backlog is
-        // dropped (it was never durable either); durable_status() tells the
-        // producer where its stream stands.
-        std::lock_guard<std::mutex> lock(mu_);
-        if (durable_status_.ok()) durable_status_ = result.status;
-        stopping_ = true;
-        std::queue<Row>().swap(queue_);
-        idle_ = true;
-        not_empty_.notify_all();
-        not_full_.notify_all();
-        drained_.notify_all();
-        return;
-      }
-    } else {
-      // Through the engine's sink, so a sequential engine delivers each
-      // report before it appends the next row of the batch.
-      engine_->AppendBatch(
-          std::span<const Row>(batch),
-          [this](ArrivalReport&& report) { DeliverReport(report); });
+    const std::span<const Row> rows(batch);
+    if (durable_engine_ == nullptr) {
+      engine_->AppendBatch(rows, sink);
+      continue;
+    }
+    // Rows that became durable have had their reports delivered even when
+    // the batch died partway — the producer will resume past them, so these
+    // notifications have no second chance.
+    const Status status = durable_engine_->AppendBatch(rows, sink);
+    if (!status.ok()) {
+      // Rows the store could not make durable must not be silently
+      // swallowed: latch the error and shut the intake. The backlog is
+      // dropped (it was never durable either); durable_status() tells the
+      // producer where its stream stands.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (durable_status_.ok()) durable_status_ = status;
+      stopping_ = true;
+      std::queue<Row>().swap(queue_);
+      idle_ = true;
+      not_empty_.notify_all();
+      not_full_.notify_all();
+      drained_.notify_all();
+      return;
     }
   }
 }

@@ -53,41 +53,33 @@ FactService::FactView FactService::Snapshot::View(uint32_t id) const {
   return view;
 }
 
-FactService::Page FactService::Snapshot::TopK(
-    size_t k, const FactFilter& filter,
-    const std::optional<TopKCursor>& cursor) const {
-  TopKResult result = state_->TopK(k, filter, cursor);
+FactService::Page FactService::Snapshot::ToPage(
+    const TopKResult& result) const {
   Page page;
   page.epoch = state_->epoch();
   page.facts.reserve(result.record_ids.size());
   for (uint32_t id : result.record_ids) page.facts.push_back(View(id));
   page.next = result.next;
   return page;
+}
+
+FactService::Page FactService::Snapshot::TopK(
+    size_t k, const FactFilter& filter,
+    const std::optional<TopKCursor>& cursor) const {
+  return ToPage(state_->TopK(k, filter, cursor));
 }
 
 FactService::Page FactService::Snapshot::FactsForTuple(
     TupleId t, const FactFilter& filter, size_t k,
     const std::optional<TopKCursor>& cursor) const {
-  TopKResult result = state_->FactsForTuple(t, filter, k, cursor);
-  Page page;
-  page.epoch = state_->epoch();
-  page.facts.reserve(result.record_ids.size());
-  for (uint32_t id : result.record_ids) page.facts.push_back(View(id));
-  page.next = result.next;
-  return page;
+  return ToPage(state_->FactsForTuple(t, filter, k, cursor));
 }
 
 FactService::Page FactService::Snapshot::FactsInWindow(
     uint64_t first_arrival, uint64_t last_arrival, const FactFilter& filter,
     size_t k, const std::optional<TopKCursor>& cursor) const {
-  TopKResult result =
-      state_->FactsInWindow(first_arrival, last_arrival, filter, k, cursor);
-  Page page;
-  page.epoch = state_->epoch();
-  page.facts.reserve(result.record_ids.size());
-  for (uint32_t id : result.record_ids) page.facts.push_back(View(id));
-  page.next = result.next;
-  return page;
+  return ToPage(
+      state_->FactsInWindow(first_arrival, last_arrival, filter, k, cursor));
 }
 
 std::optional<FactService::FactView> FactService::Snapshot::Fact(

@@ -88,7 +88,8 @@ class FactService {
   struct Page {
     uint64_t epoch = 0;
     std::vector<FactView> facts;
-    /// Present when more matches may exist; feed back into TopK to resume.
+    /// Present exactly when more matches exist; feed back into the same
+    /// call to resume.
     std::optional<TopKCursor> next;
   };
 
@@ -134,7 +135,7 @@ class FactService {
     /// a numeric summary otherwise). Never touches the live Relation.
     std::string Explain(const FactView& view) const;
 
-    /// Cumulative maintenance counters of the TopK-sorted serving bands;
+    /// Cumulative maintenance counters of the TopK-ordered serving band;
     /// /statz renders them.
     const FactIndexSnapshot::SkybandStats& skyband_stats() const {
       return state_->skyband_stats();
@@ -145,6 +146,8 @@ class FactService {
     explicit Snapshot(std::shared_ptr<const FactIndexSnapshot> state)
         : state_(std::move(state)) {}
     FactView View(uint32_t id) const;
+    /// The views of one index page, stamped with this snapshot's epoch.
+    Page ToPage(const TopKResult& result) const;
 
     std::shared_ptr<const FactIndexSnapshot> state_;
   };

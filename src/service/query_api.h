@@ -74,7 +74,8 @@ struct QueryResponse {
   uint32_t schema = kWireSchemaVersion;
   uint64_t epoch = 0;
   std::vector<FactService::FactView> facts;
-  /// Present when more matches may exist; feed back as `cursor` to resume.
+  /// Present exactly when more matches exist; feed back as `cursor` to
+  /// resume.
   std::optional<TopKCursor> next;
   /// kExplain only: the narration for `facts[0]`.
   std::optional<std::string> explanation;

@@ -297,6 +297,53 @@ TEST(FactIndex, FiltersMatchNaiveModel) {
   }
 }
 
+TEST(FactIndex, TopKSetsNextExactlyWhenAFurtherMatchExists) {
+  // Ranked facts only, so every prominence is >= 1. A page that takes the
+  // last match carries no `next`, and a page one short of it carries a
+  // `next` that leads to exactly that match.
+  Dataset data = TestData(80, 7);
+  Relation rel(data.schema());
+  auto engine = MakeEngine(&rel);
+  FactService service(&rel);
+  Model model;
+  for (const Row& row : data.rows()) {
+    ArrivalReport report = engine->Append(row);
+    service.OnArrival(report);
+    model.OnArrival(report);
+  }
+  FactService::Snapshot snap = service.Acquire();
+  ASSERT_GT(snap.fact_count(), 1u);
+  for (uint32_t id = 0; id < snap.fact_count(); ++id) {
+    std::optional<FactService::FactView> view = snap.Fact(id);
+    ASSERT_TRUE(view.has_value());
+    ASSERT_TRUE(view->ranked) << "record " << id;
+    ASSERT_GE(view->prominence, 1.0) << "record " << id;
+  }
+
+  std::vector<FactFilter> filters(4);
+  filters[1].subspace = 0b01;
+  filters[2].bound_mask = 0b010;
+  filters[3].prominent_only = true;
+  for (size_t fi = 0; fi < filters.size(); ++fi) {
+    SCOPED_TRACE("filter " + std::to_string(fi));
+    const std::vector<uint32_t> expected = model.TopKIds(filters[fi]);
+    ASSERT_GT(expected.size(), 1u);
+
+    FactService::Page whole = snap.TopK(expected.size(), filters[fi]);
+    std::vector<uint32_t> ids;
+    for (const auto& v : whole.facts) ids.push_back(v.id);
+    EXPECT_EQ(ids, expected);
+    EXPECT_FALSE(whole.next.has_value());
+
+    FactService::Page head = snap.TopK(expected.size() - 1, filters[fi]);
+    ASSERT_TRUE(head.next.has_value());
+    FactService::Page tail = snap.TopK(expected.size(), filters[fi], head.next);
+    ASSERT_EQ(tail.facts.size(), 1u);
+    EXPECT_EQ(tail.facts[0].id, expected.back());
+    EXPECT_FALSE(tail.next.has_value());
+  }
+}
+
 TEST(FactIndex, SnapshotIsolationAcrossMutations) {
   Dataset data = TestData(80, 7);
   Relation rel(data.schema());

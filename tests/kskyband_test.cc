@@ -5,6 +5,7 @@
 #include "core/kskyband.h"
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -83,6 +84,13 @@ struct KParam {
   int mhat;
   uint64_t seed;
 };
+
+// Prints the case as its stable label, so the gtest parameter dump (and
+// hence the ctest test name) never shows raw object bytes.
+void PrintTo(const KParam& p, std::ostream* os) {
+  *os << "k" << p.k << "_dhat" << p.dhat << "_mhat" << p.mhat << "_seed"
+      << p.seed;
+}
 
 class KSkybandSweep : public ::testing::TestWithParam<KParam> {};
 

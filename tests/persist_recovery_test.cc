@@ -891,10 +891,12 @@ TEST(PersistRecovery, MismatchedArityIsRejectedBeforeLogging) {
   wide.dimensions.push_back("extra");
   EXPECT_FALSE(durable->Append(wide).ok());
   EXPECT_EQ(durable->next_seq(), 0u);
-  auto batch = durable->AppendBatch(
-      std::span<const Row>(&wide, 1));
-  EXPECT_FALSE(batch.status.ok());
-  EXPECT_TRUE(batch.reports.empty());
+  size_t delivered = 0;
+  const Status batch = durable->AppendBatch(
+      std::span<const Row>(&wide, 1),
+      [&delivered](ArrivalReport&&) { ++delivered; });
+  EXPECT_FALSE(batch.ok());
+  EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(durable->next_seq(), 0u);
 
   ASSERT_TRUE(durable->Append(data.rows().front()).ok());

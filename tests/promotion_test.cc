@@ -3,6 +3,7 @@
 
 #include "core/promotion.h"
 
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -69,6 +70,13 @@ struct PromotionParam {
   int measure;
   uint64_t seed;
 };
+
+// Prints the case as its stable label, so the gtest parameter dump (and
+// hence the ctest test name) never shows raw object bytes.
+void PrintTo(const PromotionParam& p, std::ostream* os) {
+  *os << "k" << p.k << "_dhat" << p.dhat << "_measure" << p.measure
+      << "_seed" << p.seed;
+}
 
 class PromotionSweep : public ::testing::TestWithParam<PromotionParam> {};
 

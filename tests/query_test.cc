@@ -5,6 +5,7 @@
 #include "query/skyline_query.h"
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "skyline/skyline_compute.h"
@@ -71,6 +72,10 @@ struct AlgoParam {
   QueryAlgorithm algo;
   const char* name;
 };
+
+// Prints the case as its stable label, so the gtest parameter dump (and
+// hence the ctest test name) never shows raw object bytes.
+void PrintTo(const AlgoParam& p, std::ostream* os) { *os << p.name; }
 
 class QueryAlgorithmTest : public ::testing::TestWithParam<AlgoParam> {};
 

@@ -261,9 +261,13 @@ class DurableUnderTest : public EngineUnderTest {
     return std::move(report_or).value();
   }
   std::vector<ArrivalReport> AppendBatch(std::span<const Row> rows) override {
-    persist::DurableEngine::BatchResult result = engine_->AppendBatch(rows);
-    SITFACT_CHECK(result.status.ok());
-    return std::move(result.reports);
+    std::vector<ArrivalReport> reports;
+    const Status status =
+        engine_->AppendBatch(rows, [&reports](ArrivalReport&& report) {
+          reports.push_back(std::move(report));
+        });
+    SITFACT_CHECK(status.ok());
+    return reports;
   }
   Status Remove(TupleId t) override { return engine_->Remove(t); }
   StatusOr<ArrivalReport> Update(TupleId t, const Row& row) override {
